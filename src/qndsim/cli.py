@@ -178,24 +178,22 @@ def cmd_optics(args: argparse.Namespace) -> int:
             signal = PureState.from_amplitudes([alpha, beta], dims=(2,))
         except ValueError as exc:
             raise CliError(str(exc), "alpha")
+    a = params["strength_a"]
     try:
-        if params["strength_a"] is not None:
-            a = float(params["strength_a"])
-            meter = photonics.meter_prep_strength(a)
-            loss = True  # the variable-strength regime needs the balancing loss
-        else:
-            meter = photonics.meter_prep(eta)
+        meter = photonics.meter_prep(eta) if a is None else photonics.meter_prep_strength(float(a))
+    except photonics.PhotonicsError as exc:
+        raise CliError(str(exc), "eta" if a is None else "strength_a")
+    loss = loss or a is not None  # the variable-strength regime needs the balancing loss
+    try:
         result = photonics.run_gate(signal, meter, eta, include_signal_loss=loss)
+        kraus = photonics.heralded_kraus(meter, eta, include_signal_loss=loss)
     except photonics.PhotonicsError as exc:
         raise CliError(str(exc), "eta")
 
     results = result.to_json()
     # post-selected signal/meter correlation, averaged over eigenstate inputs
-    q = np.zeros((2, 2))
-    for i, pol in enumerate((PureState((2,), [1, 0]), PureState((2,), [0, 1]))):
-        r = photonics.run_gate(pol, meter, eta, include_signal_loss=loss)
-        if r.conditional_joint is not None:
-            q += 0.5 * np.abs(r.conditional_joint.amps.reshape(2, 2)) ** 2
+    w = np.abs(kraus) ** 2
+    q = 0.5 * (w / w.sum(axis=(0, 1))).sum(axis=2).T
     results["c2"] = metrics.correlation_c2(
         metrics.JointDist(q, eigvals_a=[1, -1], eigvals_b=[1, -1])
     )
@@ -239,7 +237,12 @@ def cmd_weak(args: argparse.Namespace) -> int:
                 if args.seed is None and cfg.get("seed") is None:
                     raise CliError("seed is required when sampling", "seed")
                 seed = args.seed if args.seed is not None else int(cfg["seed"])
-                sampled = weakval.estimate_sampled(alpha, beta, gamma, int(shots), seed)
+                if seed < 0:
+                    raise CliError(f"seed must be >= 0, got {seed}", "seed")
+                try:
+                    sampled = weakval.estimate_sampled(alpha, beta, gamma, int(shots), seed)
+                except weakval.WeakValueError as exc:
+                    raise CliError(str(exc), "shots")
                 results["sampled"] = sampled.to_json()
     except weakval.WeakValueError as exc:
         raise CliError(str(exc), "gamma")
@@ -256,7 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override it")
     common.add_argument("--out", help="write the report to this path as well")
-    common.add_argument("--format", choices=["json", "csv"], help="output format")
     common.add_argument("--seed", type=int, help="RNG seed for sampled runs")
 
     parser = argparse.ArgumentParser(prog="qndsim", description=__doc__)
@@ -273,6 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cnot-sweep", parents=[common], help="strength sweep of the CNOT QND gate")
     p.add_argument("--gamma", type=float, help="single strength instead of a grid")
     p.add_argument("--gamma-points", type=int, help="grid size over [1/sqrt(2), 1]")
+    p.add_argument("--format", choices=["json", "csv"], help="output format")
     p.set_defaults(func=cmd_cnot_sweep)
 
     p = sub.add_parser("optics", parents=[common], help="post-selected optical QND gate")

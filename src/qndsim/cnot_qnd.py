@@ -6,6 +6,9 @@ projective QND measurement of the chosen observable; gamma = 1/sqrt(2)
 turns the measurement off. Measurement in an arbitrary basis is obtained
 by conjugating the CNOT with the rotation taking that basis to the
 computational one.
+
+Every statistic here is read from the gate's Kraus operators on the
+signal, a (2, 2, 2) stack indexed by meter outcome (``kraus``).
 """
 
 from __future__ import annotations
@@ -21,16 +24,8 @@ from .hilbert import BasisSpec, DensityMatrix, ProbDist, PureState
 
 GAMMA_MIN = 1.0 / math.sqrt(2.0)
 GAMMA_ATOL = 1e-12
-
-CNOT = np.array(
-    [
-        [1, 0, 0, 0],
-        [0, 1, 0, 0],
-        [0, 0, 0, 1],
-        [0, 0, 1, 0],
-    ],
-    dtype=complex,
-)
+# branch probability below which a meter outcome has no post-measurement state
+ZERO_BRANCH = 1e-14
 
 
 class StrengthError(ValueError):
@@ -77,46 +72,57 @@ class QNDOutcome:
     conditional: tuple
 
 
+def kraus(prep: MeterPrep, basis: BasisSpec = hs.Z_BASIS) -> np.ndarray:
+    """Kraus operators of the gate on the signal, shape (2, 2, 2).
+
+    ``kraus(prep, basis)[k]`` is M_k = R^dag diag(c_k, c_{1-k}) R with
+    c = (gamma, gamma_bar) and R the rotation taking ``basis`` to the
+    computational basis: M_k |psi> is the signal branch that goes with
+    meter reading k.
+    """
+    if basis.dim != 2:
+        raise hs.HilbertError("observable basis must be a qubit basis")
+    c = np.array([[prep.gamma, prep.gamma_bar], [prep.gamma_bar, prep.gamma]])
+    v = basis.vectors
+    return (v * c[:, None, :]) @ v.conj().T
+
+
+def _statistics(m: np.ndarray, basis: BasisSpec, amps: np.ndarray):
+    """Signal branches and (p_in, p_m, p_out) of inputs ``amps`` (last axis)."""
+    branches = np.einsum("ksi,...i->...ks", m, amps)
+    to_basis = basis.vectors.conj()
+    p_in = np.abs(amps @ to_basis) ** 2
+    p_m = (np.abs(branches) ** 2).sum(axis=-1)
+    p_out = (np.abs(branches @ to_basis) ** 2).sum(axis=-2)
+    return branches, p_in, p_m, p_out
+
+
 def run(signal: PureState, prep: MeterPrep, basis: BasisSpec = hs.Z_BASIS) -> QNDOutcome:
     """Run the QND gate on a 1-qubit signal and collect all statistics.
 
     The joint output is R^dag (CNOT) (R x I) |signal>|meter> with R the
     rotation taking ``basis`` to the computational basis; the meter is
-    always read out in the computational basis.
+    always read out in the computational basis. Its meter-k column is
+    M_k |signal>, with M_k from ``kraus``.
     """
     if signal.dim != 2:
         raise hs.HilbertError("signal must be a single qubit")
-    if basis.dim != 2:
-        raise hs.HilbertError("observable basis must be a qubit basis")
-    rot = basis.vectors.conj().T  # takes |b_i> -> |i>
-    joint = hs.tensor_product(signal, meter_state(prep))
-    joint = hs.apply_unitary(rot, joint, subsystems=[0])
-    joint = hs.apply_unitary(CNOT, joint, subsystems=[0, 1])
-    joint = hs.apply_unitary(rot.conj().T, joint, subsystems=[0])
-
-    rho = joint.density_matrix()
-    rho_s = hs.partial_trace(rho, [0])
-    rho_m = hs.partial_trace(rho, [1])
-
-    p_in = hs.born_distribution(signal, basis, 0)
-    p_out = hs.born_distribution(rho_s, basis, 0)
-    p_m = hs.born_distribution(joint, hs.Z_BASIS, 1)
-
+    branches, p_in, p_m, p_out = _statistics(kraus(prep, basis), basis, signal.amps)
     conditional = []
     for k in range(2):
-        try:
-            prob, post = hs.conditional_collapse(joint, hs.Z_BASIS, 1, k)
-        except hs.ZeroProbabilityError:
+        if p_m[k] < ZERO_BRANCH:
             conditional.append((0.0, None, 0.0))
             continue
-        post_signal_rho = hs.partial_trace(post.density_matrix(), [0])
-        p_match = hs.born_distribution(post_signal_rho, basis, 0)[k]
-        # post-measurement signal state: the global state factorizes after
-        # the meter collapse, so project out the signal branch directly
-        amps = post.amps.reshape(2, 2)[:, k]
-        post_signal = PureState.from_amplitudes(amps, dims=(2,))
-        conditional.append((prob, post_signal, p_match))
-    return QNDOutcome(joint, rho_s, rho_m, p_in, p_out, p_m, tuple(conditional))
+        post = PureState.from_amplitudes(branches[k], dims=(2,))
+        p_match = abs(np.vdot(basis.vectors[:, k], post.amps)) ** 2
+        conditional.append((float(p_m[k]), post, p_match))
+    joint = branches.T
+    rho_s = DensityMatrix((2,), joint @ joint.conj().T)
+    rho_m = DensityMatrix((2,), branches @ branches.conj().T)
+    return QNDOutcome(
+        PureState((2, 2), joint), rho_s, rho_m, ProbDist(p_in), ProbDist(p_out), ProbDist(p_m),
+        tuple(conditional),
+    )
 
 
 def conjugate_states(basis: BasisSpec) -> tuple[PureState, PureState]:
@@ -141,23 +147,6 @@ def pauli_ensemble() -> list[tuple[str, PureState]]:
     ]
 
 
-def _mixed_input_joint(prep: MeterPrep, basis: BasisSpec) -> metrics.JointDist:
-    """Joint (signal outcome, meter outcome) statistics for the maximally
-    mixed input, realized as the uniform classical average over the basis
-    eigenstates."""
-    q = np.zeros((2, 2))
-    for i in range(2):
-        out = run(basis.state(i), prep, basis)
-        for k in range(2):
-            prob, post, p_match = out.conditional[k]
-            if post is None:
-                continue
-            p_sig = hs.born_distribution(post, basis, 0)
-            for j in range(2):
-                q[j, k] += 0.5 * prob * p_sig[j]
-    return metrics.JointDist(q, eigvals_a=[1.0, -1.0], eigvals_b=[1.0, -1.0])
-
-
 def characterize(
     prep: MeterPrep,
     basis: BasisSpec = hs.Z_BASIS,
@@ -178,23 +167,26 @@ def characterize(
         ensemble = pauli_ensemble()
     if len(ensemble) == 0:
         raise ValueError("ensemble must be nonempty")
-    per_input = []
-    for label, state in ensemble:
-        out = run(state, prep, basis)
-        fm = metrics.measurement_fidelity(out.p_in, out.p_m)
-        fqnd = metrics.qnd_fidelity(out.p_in, out.p_out)
-        per_input.append((label, fm, fqnd))
+    m = kraus(prep, basis)
+    amps = np.array([state.amps for _, state in ensemble])
+    _, p_in, p_m, p_out = _statistics(m, basis, amps)
+    per_input = [
+        (label, metrics.measurement_fidelity(pi, pm), metrics.qnd_fidelity(pi, po))
+        for (label, _), pi, pm, po in zip(ensemble, p_in, p_m, p_out)
+    ]
 
-    joint = _mixed_input_joint(prep, basis)
-    f_qsp = float(np.trace(joint.q))
+    # a[k, j, i] = <b_j| M_k |b_i>; the maximally mixed input is the uniform
+    # average over the basis eigenstates
+    v = basis.vectors
+    a = v.conj().T @ m @ v
+    q = 0.5 * (np.abs(a) ** 2).sum(axis=2).T
+    joint = metrics.JointDist(q, eigvals_a=[1.0, -1.0], eigvals_b=[1.0, -1.0])
+    f_qsp = float(np.trace(q))
 
     # conjugate-eigenstate protocol for K_bar
-    conj = conjugate_states(basis)
-    conj_basis = BasisSpec.from_states(conj)
-    p_c = 0.0
-    for idx, state in enumerate(conj):
-        out = run(state, prep, basis)
-        p_c += 0.5 * hs.born_distribution(out.rho_s, conj_basis, 0)[idx]
+    c = np.array([state.amps for state in conjugate_states(basis)]).T
+    hits = np.diagonal(c.conj().T @ m @ c, axis1=1, axis2=2)
+    p_c = 0.5 * float((np.abs(hits) ** 2).sum())
     pair = metrics.distinguishability(f_qsp, p_c)
 
     fms = [fm for (_, fm, _) in per_input]

@@ -1,4 +1,4 @@
-"""Two-photon Fock-space simulation of the non-deterministic optical QND gate.
+"""Two-photon simulation of the non-deterministic optical QND gate.
 
 A signal photon and a meter photon, each a polarization qubit, are split
 into spatial rails (s_H, s_V, m_H, m_V); the horizontal rails interfere
@@ -7,6 +7,10 @@ one photon at the meter output (and none at any dump port) heralds a QND
 measurement of the signal polarization. Loss is modeled unitarily by a
 beamsplitter into an explicit dump mode, so the full mode transformation
 stays unitary and "no photon in the dump" is a literal pattern constraint.
+
+``run_gate`` and ``heralded_kraus`` read the gate off the 2x2 permanents
+of the mode unitary; the Fock-space expansion (``FockState``,
+``two_photon_input``, ``lift_two_photon``) is kept as their reference.
 
 Sign conventions: the eta-beamsplitter follows the Heisenberg relations
 s_Ho = sqrt(eta) s_H + sqrt(1-eta) m_H, m_Ho = sqrt(1-eta) s_H -
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import PureState
+from .hilbert import X_BASIS, PureState
 
 A_MAX = math.sqrt(3.0) / 2.0
 
@@ -276,6 +280,34 @@ class CoincidenceResult:
         }
 
 
+def _output_amplitudes(circuit: LinearCircuit, signal: np.ndarray, meter: PureState) -> np.ndarray:
+    """Phi = U_s (signal meter^T) U_m^T + transpose, batched over ``signal[..., :]``.
+
+    Phi[y, z] is the amplitude of one photon in each of the output modes
+    y != z, and sqrt(2) times that of two photons in y = z.
+    """
+    if signal.shape[-1] != 2 or meter.dim != 2:
+        raise PhotonicsError("signal and meter must be single-photon polarization qubits")
+    layout, u = circuit.layout, circuit.u
+    t = (signal @ u[:, layout.signal_modes].T)[..., :, None] * (u[:, layout.meter_modes] @ meter.amps)
+    return t + np.swapaxes(t, -1, -2)
+
+
+def heralded_kraus(
+    meter: PureState, eta: float = 1.0 / 3.0, include_signal_loss: bool = False
+) -> np.ndarray:
+    """Kraus operators of the heralded gate on the signal, shape (2, 2, 2).
+
+    ``heralded_kraus(...)[k][i', i]`` is the amplitude that signal
+    polarization i leaves as i' with the meter read as k after the HWP,
+    sum_j meter_j perm U[(s_i', m_k), (s_i, m_j)]. The stack is trace-
+    decreasing: sum_k |M_k psi|^2 is the heralding probability.
+    """
+    layout, circuit = build_qnd_circuit(eta, include_signal_loss)
+    phi = _output_amplitudes(circuit, np.eye(2), meter)
+    return phi[:, layout.signal_modes][:, :, layout.meter_modes].transpose(2, 1, 0)
+
+
 def run_gate(
     signal_pol: PureState,
     meter_pol: PureState,
@@ -288,29 +320,17 @@ def run_gate(
     among the meter outputs, and none in any dump mode.
     """
     layout, circuit = build_qnd_circuit(eta, include_signal_loss)
-    out = lift_two_photon(circuit, two_photon_input(signal_pol, meter_pol, layout))
-    s_idx, m_idx = layout.signal_modes, layout.meter_modes
-    dumps = layout.dump_modes
-
-    joint = np.zeros((2, 2), dtype=complex)
-    failures = {"both_in_signal": 0.0, "both_in_meter": 0.0, "dump": 0.0}
-    success = 0.0
-    for pattern, amp in out.items():
-        n_s = sum(pattern[i] for i in s_idx)
-        n_m = sum(pattern[i] for i in m_idx)
-        n_d = sum(pattern[i] for i in dumps)
-        p = abs(amp) ** 2
-        if n_d > 0:
-            failures["dump"] += p
-        elif n_s == 2:
-            failures["both_in_signal"] += p
-        elif n_m == 2:
-            failures["both_in_meter"] += p
-        else:
-            success += p
-            i = 0 if pattern[s_idx[0]] else 1
-            j = 0 if pattern[m_idx[0]] else 1
-            joint[i, j] = amp
+    phi = _output_amplitudes(circuit, signal_pol.amps, meter_pol)
+    s_idx, m_idx, dumps = layout.signal_modes, layout.meter_modes, layout.dump_modes
+    # summed over ordered mode pairs, p counts each two-photon pattern once
+    p = np.abs(phi) ** 2 / 2.0
+    joint = phi[np.ix_(s_idx, m_idx)]
+    success = float((np.abs(joint) ** 2).sum())
+    failures = {
+        "both_in_signal": float(p[np.ix_(s_idx, s_idx)].sum()),
+        "both_in_meter": float(p[np.ix_(m_idx, m_idx)].sum()),
+        "dump": float(2.0 * p[dumps, :].sum() - p[np.ix_(dumps, dumps)].sum()),
+    }
     conditional = None
     if success > 1e-14:
         conditional = PureState((2, 2), joint.ravel() / math.sqrt(success))
@@ -342,26 +362,17 @@ def strength_distinguishability(a: float, eta: float = 1.0 / 3.0):
     """
     from . import metrics
 
-    meter = meter_prep_strength(a)
-    s = 1 / math.sqrt(2)
+    m = heralded_kraus(meter_prep_strength(a), eta, include_signal_loss=True)
 
     # likelihood: eigenstate signals, meter read in H/V after the HWP
-    likelihood = 0.0
-    for i, pol in enumerate((PureState((2,), [1, 0]), PureState((2,), [0, 1]))):
-        res = run_gate(pol, meter, eta, include_signal_loss=True)
-        jm = res.conditional_joint.amps.reshape(2, 2)
-        p_meter = (np.abs(jm) ** 2).sum(axis=0)
-        likelihood += 0.5 * float(p_meter[i])
+    w = np.abs(m) ** 2  # w[k, i', i]: signal i heralded as i' with meter k
+    likelihood = 0.5 * float(np.trace(w.sum(axis=1) / w.sum(axis=(0, 1))))
 
     # conjugate protocol: diagonal eigenstate signals, signal output in D/A
-    conj = (PureState((2,), [s, s]), PureState((2,), [s, -s]))
-    p_c = 0.0
-    for idx, pol in enumerate(conj):
-        res = run_gate(pol, meter, eta, include_signal_loss=True)
-        jm = res.conditional_joint.amps.reshape(2, 2)
-        rho_s = jm @ jm.conj().T
-        vec = conj[idx].amps
-        p_c += 0.5 * float((vec.conj() @ rho_s @ vec).real)
+    h = X_BASIS.vectors
+    out = m @ h
+    hits = np.abs(np.diagonal(h.conj().T @ out, axis1=1, axis2=2)) ** 2
+    p_c = 0.5 * float((hits.sum(axis=0) / (np.abs(out) ** 2).sum(axis=(0, 1))).sum())
 
     pair = metrics.distinguishability(likelihood, p_c)
     gamma_eff = math.sqrt(likelihood)

@@ -102,12 +102,11 @@ def strong_value_postselected(x: np.ndarray, psi: PureState, phi: PureState) -> 
 
 
 def povm(gamma: float) -> PovmPair:
-    """Effects of the strength-gamma readout: 2 E_k = 1 - (-1)^k (2g^2-1)(2n-1)."""
-    prep = cnot_qnd.MeterPrep(gamma)  # validates the range
-    k_factor = 2.0 * prep.gamma**2 - 1.0
-    body = k_factor * (2.0 * N_HAT - np.eye(2))
-    e0 = (np.eye(2) - body) / 2.0
-    e1 = (np.eye(2) + body) / 2.0
+    """Effects E_k = M_k^dag M_k of the strength-gamma readout, with M_k the
+    Kraus operators of ``cnot_qnd.kraus``; in closed form,
+    2 E_k = 1 - (-1)^k (2g^2-1)(2n-1)."""
+    m = cnot_qnd.kraus(cnot_qnd.MeterPrep(gamma))
+    e0, e1 = m.conj().transpose(0, 2, 1) @ m
     return PovmPair(e0, e1)
 
 
@@ -171,21 +170,15 @@ def estimate_sampled(
     if scale < 1e-12:
         raise WeakValueError("estimator singular: gamma = 1/sqrt(2) exactly")
     psi = PureState.from_amplitudes([alpha, beta], dims=(2,))
-    out = cnot_qnd.run(psi, prep)
-    p1 = out.p_m[1]
+    branches = cnot_qnd.kraus(prep) @ psi.amps
+    p_m = (np.abs(branches) ** 2).sum(axis=1)
     # probability of the final '+' result on each conditional signal state
-    plus = hs.PLUS.amps
-    p_plus_given_k = np.empty(2)
-    for k in range(2):
-        _, post, _ = out.conditional[k]
-        if post is None:
-            p_plus_given_k[k] = 0.0
-        else:
-            p_plus_given_k[k] = abs(np.vdot(plus, post.amps)) ** 2
+    plus = np.abs(branches @ hs.PLUS.amps.conj()) ** 2
+    p_plus_given_k = np.divide(plus, p_m, out=np.zeros(2), where=p_m >= cnot_qnd.ZERO_BRANCH)
 
     rng = np.random.Generator(np.random.Philox(seed))
     draws = rng.random((shots, 2))
-    ks = (draws[:, 0] < p1).astype(int)
+    ks = (draws[:, 0] < p_m[1]).astype(int)
     retained = draws[:, 1] < p_plus_given_k[ks]
     record = 2.0 * ks[retained] - 1.0
     n = record.size

@@ -104,6 +104,12 @@ def test_optics_strength_zero_uncorrelated(capsys):
     assert json.loads(out)["results"]["c2"] == pytest.approx(0.0, abs=1e-9)
 
 
+def test_optics_rejects_strength_a(capsys):
+    code, _, err = run_cli(capsys, "optics", "--signal", "H", "--strength-a", "2")
+    assert code == 2
+    assert json.loads(err)["field"] == "strength_a"
+
+
 def test_weak_analytic(capsys):
     code, out, _ = run_cli(
         capsys, "weak", "--alpha", "0.8", "--beta", "-0.6", "--gamma", "0.8", "--analytic"
@@ -134,6 +140,30 @@ def test_weak_sampled_requires_seed(capsys):
     )
     assert code != 0
     assert json.loads(err)["field"] == "seed"
+
+
+def test_weak_sampled_rejects_shots(capsys):
+    code, _, err = run_cli(
+        capsys, "weak", "--alpha", "0.8", "--beta", "-0.6", "--gamma", "0.8",
+        "--shots", "-5", "--seed", "1",
+    )
+    assert code == 2
+    assert json.loads(err)["field"] == "shots"
+
+
+def test_weak_sampled_rejects_negative_seed(capsys):
+    code, _, err = run_cli(
+        capsys, "weak", "--alpha", "0.8", "--beta", "-0.6", "--gamma", "0.8",
+        "--shots", "100", "--seed", "-1",
+    )
+    assert code == 2
+    assert json.loads(err)["field"] == "seed"
+
+
+def test_format_is_rejected_outside_cnot_sweep():
+    with pytest.raises(SystemExit) as exc:
+        main(["weak", "--alpha", "0.8", "--bound", "--format", "csv"])
+    assert exc.value.code == 2
 
 
 def test_weak_bound(capsys):

