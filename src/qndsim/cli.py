@@ -9,20 +9,20 @@ Subcommands:
 Parameters come from a JSON config file (``--config``) and/or flags;
 flags override the file. Reports echo the fully resolved config so a run
 can be reproduced from its own output. Errors are emitted as a JSON
-object {"error": ..., "field": ...} on stderr with a nonzero exit code.
+object {"error": ..., "field": ...} on stderr: exit code 2 for bad input,
+naming the offending field, and 1 for an internal fault.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
-import numpy as np
-
 from . import __version__, cnot_qnd, metrics, photonics, weakval
-from .hilbert import PureState
+from .hilbert import Z_BASIS, PureState
 
 
 class CliError(Exception):
@@ -31,14 +31,18 @@ class CliError(Exception):
         self.field = field
 
 
-def _parse_dist(text: str, field: str) -> list[float]:
+def _number(value, field: str, kind=float, default=None):
+    """``kind(value)``, or ``default`` if unset; CliError naming ``field`` for a
+    value of the wrong type or, for floats, one that is not finite."""
+    if value is None:
+        return default
     try:
-        values = [float(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError as exc:
-        raise CliError(f"could not parse distribution: {exc}", field)
-    if not values:
-        raise CliError("empty distribution", field)
-    return values
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise CliError(f"{field} must be {kind.__name__}, got {value!r}", field)
+    if kind is float and not math.isfinite(out):
+        raise CliError(f"{field} must be finite, got {value!r}", field)
+    return out
 
 
 def _load_config(path: str | None) -> dict:
@@ -70,8 +74,11 @@ def _emit(report: dict, args: argparse.Namespace, csv_text: str | None = None) -
     else:
         text = json.dumps(report, indent=2)
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise CliError(f"could not write report: {exc}", "out")
     print(text)
 
 
@@ -103,11 +110,10 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
         if v is None:
             return None
         if isinstance(v, str):
-            v = _parse_dist(v, key)
-        try:
-            return [float(x) for x in v]
-        except (TypeError, ValueError):
+            v = [x for x in v.split(",") if x.strip() != ""]
+        if not isinstance(v, list) or not v:
             raise CliError(f"malformed distribution for {key}", key)
+        return [_number(x, key) for x in v]
 
     p_in, p_m, p_out, cond = dist("p_in"), dist("p_m"), dist("p_out"), dist("conditionals")
     if p_in is None:
@@ -132,9 +138,9 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
 
 
 def _gamma_grid(params: dict) -> list[float]:
-    if params.get("gamma") is not None:
-        return [float(params["gamma"])]
-    n = int(params.get("gamma_points") or 11)
+    if params["gamma"] is not None:
+        return [_number(params["gamma"], "gamma")]
+    n = _number(params["gamma_points"], "gamma_points", int, 11)
     if n < 1:
         raise CliError("gamma_points must be >= 1", "gamma_points")
     lo, hi = cnot_qnd.GAMMA_MIN, 1.0
@@ -164,7 +170,7 @@ def cmd_optics(args: argparse.Namespace) -> int:
     params = _resolve(
         cfg, args, ["signal", "alpha", "beta", "eta", "strength_a", "loss"]
     )
-    eta = float(params["eta"]) if params["eta"] is not None else 1.0 / 3.0
+    eta = _number(params["eta"], "eta", default=1.0 / 3.0)
     loss = bool(params["loss"])
     if params["signal"] is not None:
         label = str(params["signal"]).upper()
@@ -172,15 +178,15 @@ def cmd_optics(args: argparse.Namespace) -> int:
             raise CliError(f"signal must be H or V, got {params['signal']}", "signal")
         signal = PureState((2,), [1, 0] if label == "H" else [0, 1])
     else:
-        alpha = float(params["alpha"]) if params["alpha"] is not None else 1.0
-        beta = float(params["beta"]) if params["beta"] is not None else 0.0
+        alpha = _number(params["alpha"], "alpha", default=1.0)
+        beta = _number(params["beta"], "beta", default=0.0)
         try:
             signal = PureState.from_amplitudes([alpha, beta], dims=(2,))
         except ValueError as exc:
             raise CliError(str(exc), "alpha")
-    a = params["strength_a"]
+    a = _number(params["strength_a"], "strength_a")
     try:
-        meter = photonics.meter_prep(eta) if a is None else photonics.meter_prep_strength(float(a))
+        meter = photonics.meter_prep(eta) if a is None else photonics.meter_prep_strength(a)
     except photonics.PhotonicsError as exc:
         raise CliError(str(exc), "eta" if a is None else "strength_a")
     loss = loss or a is not None  # the variable-strength regime needs the balancing loss
@@ -192,11 +198,8 @@ def cmd_optics(args: argparse.Namespace) -> int:
 
     results = result.to_json()
     # post-selected signal/meter correlation, averaged over eigenstate inputs
-    w = np.abs(kraus) ** 2
-    q = 0.5 * (w / w.sum(axis=(0, 1))).sum(axis=2).T
-    results["c2"] = metrics.correlation_c2(
-        metrics.JointDist(q, eigvals_a=[1, -1], eigvals_b=[1, -1])
-    )
+    joint, _ = metrics.kraus_figures(kraus, Z_BASIS)
+    results["c2"] = metrics.correlation_c2(joint)
     config = {
         "eta": eta,
         "loss": loss,
@@ -214,40 +217,40 @@ def cmd_weak(args: argparse.Namespace) -> int:
     params = _resolve(
         cfg, args, ["alpha", "beta", "gamma", "shots", "analytic", "bound"]
     )
-    alpha = float(params["alpha"]) if params["alpha"] is not None else None
+    alpha = _number(params["alpha"], "alpha")
     if alpha is None:
         raise CliError("alpha is required", "alpha")
     results: dict = {}
-    try:
-        if params["bound"]:
+    if params["bound"]:
+        try:
             results["gamma_max"] = weakval.negativity_gamma_bound(alpha)
-        else:
-            beta = float(params["beta"]) if params["beta"] is not None else None
-            gamma = float(params["gamma"]) if params["gamma"] is not None else None
-            if beta is None or gamma is None:
-                raise CliError("beta and gamma are required", "gamma")
+        except weakval.WeakValueError as exc:
+            raise CliError(str(exc), "alpha")
+    else:
+        beta, gamma = _number(params["beta"], "beta"), _number(params["gamma"], "gamma")
+        if beta is None or gamma is None:
+            raise CliError("beta and gamma are required", "gamma")
+        try:
+            PureState((2,), [alpha, beta])
+        except ValueError as exc:
+            raise CliError(str(exc), "alpha")
+        try:
             plus, minus, p_plus = weakval.postselected_mean_n(alpha, beta, gamma)
-            results["analytic"] = {
-                "plus_value": plus,
-                "minus_value": minus,
-                "p_plus": p_plus,
-            }
-            shots = params["shots"]
-            if shots and not params["analytic"]:
-                if args.seed is None and cfg.get("seed") is None:
-                    raise CliError("seed is required when sampling", "seed")
-                seed = args.seed if args.seed is not None else int(cfg["seed"])
-                if seed < 0:
-                    raise CliError(f"seed must be >= 0, got {seed}", "seed")
-                try:
-                    sampled = weakval.estimate_sampled(alpha, beta, gamma, int(shots), seed)
-                except weakval.WeakValueError as exc:
-                    raise CliError(str(exc), "shots")
-                results["sampled"] = sampled.to_json()
-    except weakval.WeakValueError as exc:
-        raise CliError(str(exc), "gamma")
-    except cnot_qnd.StrengthError as exc:
-        raise CliError(str(exc), "gamma")
+        except (weakval.WeakValueError, cnot_qnd.StrengthError) as exc:
+            raise CliError(str(exc), "gamma")
+        results["analytic"] = {"plus_value": plus, "minus_value": minus, "p_plus": p_plus}
+        shots = _number(params["shots"], "shots", int)
+        if shots is not None and not params["analytic"]:
+            seed = args.seed if args.seed is not None else _number(cfg.get("seed"), "seed", int)
+            if seed is None:
+                raise CliError("seed is required when sampling", "seed")
+            if seed < 0:
+                raise CliError(f"seed must be >= 0, got {seed}", "seed")
+            try:
+                sampled = weakval.estimate_sampled(alpha, beta, gamma, shots, seed)
+            except weakval.WeakValueError as exc:
+                raise CliError(str(exc), "shots")
+            results["sampled"] = sampled.to_json()
     config = {k: v for k, v in params.items() if v is not None}
     if args.seed is not None:
         config["seed"] = args.seed

@@ -125,15 +125,6 @@ def run(signal: PureState, prep: MeterPrep, basis: BasisSpec = hs.Z_BASIS) -> QN
     )
 
 
-def conjugate_states(basis: BasisSpec) -> tuple[PureState, PureState]:
-    """Eigenstates (|b0> +/- |b1>)/sqrt(2) of the observable conjugate to ``basis``."""
-    b0, b1 = basis.vectors[:, 0], basis.vectors[:, 1]
-    return (
-        PureState.from_amplitudes((b0 + b1) / math.sqrt(2), dims=(2,)),
-        PureState.from_amplitudes((b0 - b1) / math.sqrt(2), dims=(2,)),
-    )
-
-
 def pauli_ensemble() -> list[tuple[str, PureState]]:
     """The six Pauli eigenstates; default probe set spanning the qubit space."""
     s = 1 / math.sqrt(2)
@@ -155,9 +146,9 @@ def characterize(
     """Evaluate the device against all quality measures.
 
     F_M and F_QND are computed per ensemble input; the headline values
-    are worst case over the ensemble. F_QSP (= likelihood L) uses the
-    maximally mixed input. K_bar comes from injecting the conjugate
-    eigenstates and reading the signal output in the conjugate basis.
+    are worst case over the ensemble. F_QSP (= likelihood L), K and K_bar
+    are read off the Kraus stack by ``metrics.kraus_figures``: the
+    maximally mixed input for F_QSP, the conjugate eigenstates for K_bar.
     Both C^2 conventions are returned: ``c2_raw`` evaluates the
     correlation function on the joint outcome statistics, ``c2_shortcut``
     is the qubit identity 2 F_QSP - 1; they differ for intermediate
@@ -175,19 +166,8 @@ def characterize(
         for (label, _), pi, pm, po in zip(ensemble, p_in, p_m, p_out)
     ]
 
-    # a[k, j, i] = <b_j| M_k |b_i>; the maximally mixed input is the uniform
-    # average over the basis eigenstates
-    v = basis.vectors
-    a = v.conj().T @ m @ v
-    q = 0.5 * (np.abs(a) ** 2).sum(axis=2).T
-    joint = metrics.JointDist(q, eigvals_a=[1.0, -1.0], eigvals_b=[1.0, -1.0])
-    f_qsp = float(np.trace(q))
-
-    # conjugate-eigenstate protocol for K_bar
-    c = np.array([state.amps for state in conjugate_states(basis)]).T
-    hits = np.diagonal(c.conj().T @ m @ c, axis1=1, axis2=2)
-    p_c = 0.5 * float((np.abs(hits) ** 2).sum())
-    pair = metrics.distinguishability(f_qsp, p_c)
+    joint, pair = metrics.kraus_figures(m, basis)
+    f_qsp = float(np.trace(joint.q))
 
     fms = [fm for (_, fm, _) in per_input]
     fqnds = [fq for (_, _, fq) in per_input]

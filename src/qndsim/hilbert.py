@@ -201,7 +201,7 @@ class ProbDist:
             raise HilbertError(f"negative probability {p.min()}")
         p = np.clip(p, 0.0, None)
         s = p.sum()
-        if abs(s - 1.0) > PROB_ATOL:
+        if not abs(s - 1.0) <= PROB_ATOL:  # a NaN or infinite entry fails here too
             raise HilbertError(f"probabilities sum to {s}, not 1")
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
@@ -219,8 +219,8 @@ class ProbDist:
         if w.min() < 0:
             raise HilbertError("weights must be nonnegative")
         total = w.sum()
-        if total <= 0:
-            raise HilbertError("weights sum to zero")
+        if not 0 < total < math.inf:
+            raise HilbertError(f"weights must have a finite, positive sum, got {total}")
         return cls(w / total)
 
     def to_json(self) -> list:

@@ -3,8 +3,9 @@
 Classical fidelity between outcome distributions, the three derived
 quality measures (measurement, QND and QSP fidelity), distinguishability
 of the measured and conjugate observables with the Englert trade-off,
-a generic two-observable correlation function, and the closed-form
-bridges to continuous-variable transfer coefficients.
+a generic two-observable correlation function, the reader that takes
+all of these off a device's Kraus operators (``kraus_figures``), and the
+closed-form bridges to continuous-variable transfer coefficients.
 
 The CV conditional variance V_{s|m} and the uncertainty product
 V_{s|m} * V_conj >= 1 require Gaussian-state simulation and are out of
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import ProbDist
+from .hilbert import X_BASIS, BasisSpec, ProbDist
 
 SATURATION_ATOL = 1e-9
 
@@ -202,6 +203,27 @@ def correlation_c2(joint: JointDist, subtract_mean: bool = False) -> float:
     if denom < 1e-24:
         raise MetricsError("degenerate observable: zero second moment")
     return corr**2 / denom
+
+
+def kraus_figures(m: np.ndarray, basis: BasisSpec) -> tuple[JointDist, DistinguishabilityPair]:
+    """Joint (signal output, meter) distribution and (K, K_bar) of a Kraus stack.
+
+    ``m[k]`` is the signal operator for meter reading k. Each input psi is
+    conditioned on its success probability sum_k |M_k psi|^2 (1 unless the
+    stack is heralded). The joint distribution is that of the maximally
+    mixed input read in ``basis``; its trace is F_QSP = L. K_bar uses the
+    conjugate eigenstates, the columns of ``basis.vectors @ X_BASIS.vectors``.
+    """
+
+    def conditioned(v):
+        # w[k, j, i] = P(meter k, output v_j | input v_i, success)
+        w = np.abs(v.conj().T @ m @ v) ** 2
+        return w / w.sum(axis=(0, 1))
+
+    q = 0.5 * conditioned(basis.vectors).sum(axis=2).T
+    p_c = 0.5 * float(np.trace(conditioned(basis.vectors @ X_BASIS.vectors).sum(axis=0)))
+    joint = JointDist(q, eigvals_a=[1.0, -1.0], eigvals_b=[1.0, -1.0])
+    return joint, distinguishability(float(np.trace(q)), p_c)
 
 
 def c2_from_fqsp(f_qsp: float) -> float:

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import X_BASIS, PureState
+from . import metrics
+from .hilbert import Z_BASIS, PureState
 
 A_MAX = math.sqrt(3.0) / 2.0
 
@@ -354,26 +355,12 @@ def analytic_success(alpha: complex, beta: complex, include_signal_loss: bool = 
 def strength_distinguishability(a: float, eta: float = 1.0 / 3.0):
     """(K, K_bar) of the post-selected variable-strength gate.
 
-    K comes from the heralded likelihood that the meter readout matches
-    an eigenstate signal; K_bar from injecting diagonal/antidiagonal
-    signals and reading the heralded signal output in that basis. The
-    balancing loss is always included in this regime. Also returns the
-    empirically extracted equivalent CNOT strength gamma_eff = sqrt(L).
+    Read off the heralded Kraus stack by ``metrics.kraus_figures`` in the
+    H/V basis: K from the heralded likelihood L that the meter readout
+    matches the signal output, K_bar from diagonal/antidiagonal signals
+    read out in that basis. The balancing loss is always included in this
+    regime. Also returns the equivalent CNOT strength gamma_eff = sqrt(L).
     """
-    from . import metrics
-
     m = heralded_kraus(meter_prep_strength(a), eta, include_signal_loss=True)
-
-    # likelihood: eigenstate signals, meter read in H/V after the HWP
-    w = np.abs(m) ** 2  # w[k, i', i]: signal i heralded as i' with meter k
-    likelihood = 0.5 * float(np.trace(w.sum(axis=1) / w.sum(axis=(0, 1))))
-
-    # conjugate protocol: diagonal eigenstate signals, signal output in D/A
-    h = X_BASIS.vectors
-    out = m @ h
-    hits = np.abs(np.diagonal(h.conj().T @ out, axis1=1, axis2=2)) ** 2
-    p_c = 0.5 * float((hits.sum(axis=0) / (np.abs(out) ** 2).sum(axis=(0, 1))).sum())
-
-    pair = metrics.distinguishability(likelihood, p_c)
-    gamma_eff = math.sqrt(likelihood)
-    return pair, gamma_eff
+    joint, pair = metrics.kraus_figures(m, Z_BASIS)
+    return pair, math.sqrt(float(np.trace(joint.q)))

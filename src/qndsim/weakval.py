@@ -116,27 +116,27 @@ def postselected_mean_n(
     """Conditional mean photon number after a strength-gamma QND readout,
     post-selected on finding the signal in |+> (and in |->), plus P(+).
 
-    Implements the closed form exactly as printed, with Re[alpha beta*]
-    in the numerators and Re[alpha beta] in the denominators; the two
-    coincide for real amplitudes. Satisfies
-    P(+) <+><n> + P(-) <-><n> = |beta|^2.
+    With r = Re[alpha beta*] and gg = gamma gamma_bar,
+    P(+/-) = (1 +/- 4 gg r)/2 and <+/-><n> = (|beta|^2 +/- 2 gg r)/(2 P(+/-)).
+    The printed form has Re[alpha beta] in P(+/-); the two coincide for
+    real amplitudes, but only Re[alpha beta*] is invariant under a global
+    phase. Satisfies P(+) <+><n> + P(-) <-><n> = |beta|^2.
     """
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-10:
+    if not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= 1e-10:  # NaN fails too
         raise WeakValueError("input amplitudes must be normalized")
     prep = cnot_qnd.MeterPrep(gamma)
     gg = prep.gamma * prep.gamma_bar
     denom_core = 2.0 * gamma**2 - 1.0
     if abs(denom_core) < 1e-12:
         raise WeakValueError("estimator singular: gamma = 1/sqrt(2) exactly")
-    re_ab_conj = (alpha * np.conj(beta)).real
-    re_ab = (alpha * beta).real
-    p_plus = (1.0 + 4.0 * gg * re_ab) / 2.0
-    p_minus = (1.0 - 4.0 * gg * re_ab) / 2.0
+    r = (alpha * np.conj(beta)).real
+    p_plus = (1.0 + 4.0 * gg * r) / 2.0
+    p_minus = (1.0 - 4.0 * gg * r) / 2.0
     if p_plus < 1e-12 or p_minus < 1e-12:
         raise WeakValueError("vanishing post-selection probability")
     b2 = abs(beta) ** 2
-    plus_value = (b2 + 2.0 * gg * re_ab_conj) / (2.0 * p_plus)
-    minus_value = (b2 - 2.0 * gg * re_ab_conj) / (2.0 * p_minus)
+    plus_value = (b2 + 2.0 * gg * r) / (2.0 * p_plus)
+    minus_value = (b2 - 2.0 * gg * r) / (2.0 * p_minus)
     return plus_value, minus_value, p_plus
 
 

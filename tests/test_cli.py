@@ -196,3 +196,36 @@ def test_rerun_from_embedded_config(capsys, tmp_path):
     code2, out2, _ = run_cli(capsys, "weak", "--config", str(cfg))
     assert code2 == 0
     assert json.loads(out2)["results"] == report["results"]
+
+
+WEAK = ["weak", "--alpha", "0.8", "--beta", "-0.6", "--gamma", "0.8"]
+
+
+@pytest.mark.parametrize(
+    "argv, config, field",
+    [
+        (["cnot-sweep"], {"gamma_points": "abc"}, "gamma_points"),
+        (["cnot-sweep", "--gamma", "nan"], None, "gamma"),
+        (["optics"], {"eta": "x"}, "eta"),
+        (["optics", "--eta", "nan"], None, "eta"),
+        (["weak"], {"alpha": 0.8, "beta": -0.6, "gamma": 0.8, "shots": "many", "seed": 1}, "shots"),
+        (["weak"], {"alpha": "x", "bound": True}, "alpha"),
+        (["weak"], {"alpha": 0.8, "beta": -0.6, "gamma": 0.8, "shots": 100, "seed": "x"}, "seed"),
+        (["weak", "--alpha", "0.5", "--bound"], None, "alpha"),
+        (["weak", "--alpha", "0.8", "--beta", "2", "--gamma", "0.9", "--analytic"], None, "alpha"),
+        (["weak", "--alpha", "nan", "--beta", "0.6", "--gamma", "0.8", "--analytic"], None, "alpha"),
+        (WEAK + ["--shots", "0", "--seed", "1"], None, "shots"),
+        (["fidelity", "--p-in", "nan,1", "--p-m", "1,1"], None, "p_in"),
+        (WEAK + ["--analytic", "--out", "{missing}"], None, "out"),
+    ],
+)
+def test_bad_input_exits_2_naming_the_field(capsys, tmp_path, argv, config, field):
+    argv = [a.replace("{missing}", str(tmp_path / "missing" / "x.json")) for a in argv]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["field"] == field

@@ -218,17 +218,22 @@ def test_characterize_empty_ensemble():
 
 def test_strength_law_on_grid():
     grid = np.linspace(cq.GAMMA_MIN, 1.0, 50)
-    rows = cq.strength_sweep(grid)
-    for g, row in zip(grid, rows):
-        assert row.f_m == pytest.approx(g * g, abs=1e-10)
-        assert row.f_qsp == pytest.approx(g * g, abs=1e-10)
-        assert row.f_qnd == pytest.approx(1.0, abs=1e-10)
-        assert row.englert == pytest.approx(1.0, abs=1e-9)
-        assert row.k == pytest.approx(2 * g * g - 1, abs=1e-10)
-        assert row.c2_raw == pytest.approx((2 * g * g - 1) ** 2, abs=1e-10)
-        assert row.c2_shortcut == pytest.approx(2 * g * g - 1, abs=1e-10)
-    fms = [r.f_m for r in rows]
-    assert all(b >= a - 1e-12 for a, b in zip(fms, fms[1:]))
+    random_basis = BasisSpec(random_unitary2(np.random.default_rng(17)))
+    for basis in (hs.Z_BASIS, hs.X_BASIS, hs.Y_BASIS, random_basis):
+        # the Pauli ensemble carried into ``basis``, so it holds that basis's eigenstates
+        ensemble = [(label, PureState((2,), basis.vectors @ s.amps)) for label, s in cq.pauli_ensemble()]
+        rows = cq.strength_sweep(grid, basis, ensemble)
+        for g, row in zip(grid, rows):
+            assert row.f_m == pytest.approx(g * g, abs=1e-10)
+            assert row.f_qsp == pytest.approx(g * g, abs=1e-10)
+            assert row.f_qnd == pytest.approx(1.0, abs=1e-10)
+            assert row.englert == pytest.approx(1.0, abs=1e-9)
+            assert row.k == pytest.approx(2 * g * g - 1, abs=1e-10)
+            assert row.k_bar == pytest.approx(2 * g * math.sqrt(1 - g * g), abs=1e-10)
+            assert row.c2_raw == pytest.approx((2 * g * g - 1) ** 2, abs=1e-10)
+            assert row.c2_shortcut == pytest.approx(2 * g * g - 1, abs=1e-10)
+        fms = [r.f_m for r in rows]
+        assert all(b >= a - 1e-12 for a, b in zip(fms, fms[1:]))
 
 
 def test_sweep_example_grid():

@@ -60,6 +60,14 @@ def test_probdist_rejects_bad_sum():
         ProbDist(np.array([0.6, 0.6]))
 
 
+@pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.inf, 1.0], [np.nan, np.nan]])
+def test_probdist_rejects_non_finite(weights):
+    with pytest.raises(HilbertError):
+        ProbDist.from_weights(weights)
+    with pytest.raises(HilbertError):
+        ProbDist(np.array(weights))
+
+
 def test_basis_rejects_non_orthonormal():
     with pytest.raises(HilbertError):
         BasisSpec(np.array([[1.0, 1.0], [0.0, 0.0]]))

@@ -346,6 +346,28 @@ def test_strength_grid_coherence():
         assert cq.GAMMA_MIN - 1e-9 <= gamma_eff <= 1 + 1e-9
 
 
+def test_strength_distinguishability_matches_run_gate():
+    # L and P_c from the heralded joint states of run_gate, conditioned per input
+    diag = PureState((2,), [1, 1] / np.sqrt(2))
+    anti = PureState((2,), [1, -1] / np.sqrt(2))
+    for eta in (ETA, 0.2, 0.7):
+        for a in np.linspace(0.0, ph.A_MAX, 13):
+            meter = meter_prep_strength(float(a))
+
+            def joint(sig):
+                res = run_gate(sig, meter, eta, include_signal_loss=True)
+                return res.conditional_joint.amps.reshape(2, 2)  # [signal, meter]
+
+            # meter reading agrees with the eigenstate that went in
+            likelihood = 0.5 * sum((np.abs(joint(s)[:, i]) ** 2).sum() for i, s in enumerate((H, V)))
+            # signal output found again in the conjugate state that went in
+            p_c = 0.5 * sum((np.abs(s.amps.conj() @ joint(s)) ** 2).sum() for s in (diag, anti))
+            pair, gamma_eff = ph.strength_distinguishability(float(a), eta)
+            assert abs(pair.k - (2 * likelihood - 1)) <= 1e-12
+            assert abs(pair.k_bar - (2 * p_c - 1)) <= 1e-12
+            assert abs(gamma_eff - math.sqrt(likelihood)) <= 1e-12
+
+
 def test_strength_endpoints_match_cnot():
     pair_off, g_off = ph.strength_distinguishability(0.0)
     assert g_off == pytest.approx(cq.GAMMA_MIN, abs=1e-10)

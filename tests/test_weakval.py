@@ -191,21 +191,42 @@ def test_singular_at_gamma_min():
 def test_postselected_mean_matches_brute_force_conditional():
     # oracle: conditional expectation straight from the entangled gate state
     rng = np.random.default_rng(23)
-    for _ in range(50):
-        a = rng.normal(size=2)
-        a /= np.linalg.norm(a)
-        g = rng.uniform(cq.GAMMA_MIN + 0.01, 1.0)
-        gb = math.sqrt(1 - g * g)
-        alpha, beta = a
-        p0_plus = abs(alpha * g + beta * gb) ** 2 / 2
-        p1_plus = abs(alpha * gb + beta * g) ** 2 / 2
-        p_plus = p0_plus + p1_plus
-        if p_plus < 1e-6:
-            continue
-        n_plus = (1 + (p1_plus - p0_plus) / (p_plus * (2 * g * g - 1))) / 2
-        plus, _, pp = postselected_mean_n(alpha, beta, float(g))
-        assert plus == pytest.approx(n_plus, abs=1e-10)
-        assert pp == pytest.approx(p_plus, abs=1e-10)
+    for complex_amps in (False, True):
+        for _ in range(50):
+            a = rng.normal(size=2) + (1j * rng.normal(size=2) if complex_amps else 0)
+            a /= np.linalg.norm(a)
+            g = rng.uniform(cq.GAMMA_MIN + 0.01, 1.0)
+            gb = math.sqrt(1 - g * g)
+            alpha, beta = a
+            p0_plus = abs(alpha * g + beta * gb) ** 2 / 2
+            p1_plus = abs(alpha * gb + beta * g) ** 2 / 2
+            p_plus = p0_plus + p1_plus
+            if p_plus < 1e-6:
+                continue
+            n_plus = (1 + (p1_plus - p0_plus) / (p_plus * (2 * g * g - 1))) / 2
+            plus, _, pp = postselected_mean_n(alpha, beta, float(g))
+            assert plus == pytest.approx(n_plus, abs=1e-10)
+            assert pp == pytest.approx(p_plus, abs=1e-10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 2 * math.pi))
+def test_postselected_mean_global_phase_invariance(seed, phase):
+    rng = np.random.default_rng(seed)
+    alpha, beta = random_qubit(rng).amps
+    g = float(rng.uniform(cq.GAMMA_MIN + 0.01, 1.0))
+    try:
+        expected = postselected_mean_n(alpha, beta, g)
+    except WeakValueError:
+        return
+    u = np.exp(1j * phase)
+    np.testing.assert_allclose(postselected_mean_n(u * alpha, u * beta, g), expected, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("alpha, beta", [(np.nan, 0.6), (0.8, np.nan), (np.inf, 0.0)])
+def test_postselected_mean_rejects_non_finite(alpha, beta):
+    with pytest.raises(WeakValueError):
+        postselected_mean_n(alpha, beta, 0.8)
 
 
 @settings(max_examples=100, deadline=None)
