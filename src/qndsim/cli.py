@@ -22,7 +22,7 @@ import sys
 import time
 
 from . import __version__, cnot_qnd, metrics, photonics, weakval
-from .hilbert import Z_BASIS, PureState
+from .hilbert import Z_BASIS, ProbDist, PureState
 
 
 class CliError(Exception):
@@ -33,9 +33,13 @@ class CliError(Exception):
 
 def _number(value, field: str, kind=float, default=None):
     """``kind(value)``, or ``default`` if unset; CliError naming ``field`` for a
-    value of the wrong type or, for floats, one that is not finite."""
+    value of the wrong type (a boolean included), for floats one that is not
+    finite, and for ints one that is not integral."""
     if value is None:
         return default
+    fraction = kind is int and isinstance(value, float) and not value.is_integer()
+    if isinstance(value, bool) or fraction:
+        raise CliError(f"{field} must be {kind.__name__}, got {value!r}", field)
     try:
         out = kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -43,6 +47,16 @@ def _number(value, field: str, kind=float, default=None):
     if kind is float and not math.isfinite(out):
         raise CliError(f"{field} must be finite, got {value!r}", field)
     return out
+
+
+def _switch(value, field: str) -> bool:
+    """An on/off parameter: False if unset; CliError naming ``field`` for
+    anything but a boolean."""
+    if value is None:
+        return False
+    if not isinstance(value, bool):
+        raise CliError(f"{field} must be true or false, got {value!r}", field)
+    return value
 
 
 def _load_config(path: str | None) -> dict:
@@ -115,21 +129,28 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
             raise CliError(f"malformed distribution for {key}", key)
         return [_number(x, key) for x in v]
 
+    def checked(field, fn, *args):
+        """``fn(*args)``; a bad value is a CliError naming ``field``."""
+        try:
+            return fn(*args)
+        except ValueError as exc:  # MetricsError and HilbertError included
+            raise CliError(str(exc), field)
+
     p_in, p_m, p_out, cond = dist("p_in"), dist("p_m"), dist("p_out"), dist("conditionals")
     if p_in is None:
         raise CliError("p_in is required", "p_in")
+    p_in = checked("p_in", ProbDist.from_weights, p_in)
     results = {}
-    try:
-        if p_m is not None:
-            results["f_m"] = metrics.measurement_fidelity(p_in, p_m)
-        if p_out is not None:
-            results["f_qnd"] = metrics.qnd_fidelity(p_in, p_out)
-        if cond is not None:
-            if p_m is None:
-                raise CliError("conditionals require p_m", "p_m")
-            results["f_qsp"] = metrics.qsp_fidelity(p_m, cond)
-    except (metrics.MetricsError, ValueError) as exc:
-        raise CliError(str(exc), None)
+    if p_m is not None:
+        p_m = checked("p_m", ProbDist.from_weights, p_m)
+        results["f_m"] = checked("p_m", metrics.measurement_fidelity, p_in, p_m)
+    if p_out is not None:
+        p_out = checked("p_out", ProbDist.from_weights, p_out)
+        results["f_qnd"] = checked("p_out", metrics.qnd_fidelity, p_in, p_out)
+    if cond is not None:
+        if p_m is None:
+            raise CliError("conditionals require p_m", "p_m")
+        results["f_qsp"] = checked("conditionals", metrics.qsp_fidelity, p_m, cond)
     if not results:
         raise CliError("provide at least one of p_m, p_out", "p_m")
     config = {k: v for k, v in params.items() if v is not None}
@@ -171,7 +192,7 @@ def cmd_optics(args: argparse.Namespace) -> int:
         cfg, args, ["signal", "alpha", "beta", "eta", "strength_a", "loss"]
     )
     eta = _number(params["eta"], "eta", default=1.0 / 3.0)
-    loss = bool(params["loss"])
+    loss = _switch(params["loss"], "loss")
     if params["signal"] is not None:
         label = str(params["signal"]).upper()
         if label not in ("H", "V"):
@@ -220,8 +241,9 @@ def cmd_weak(args: argparse.Namespace) -> int:
     alpha = _number(params["alpha"], "alpha")
     if alpha is None:
         raise CliError("alpha is required", "alpha")
+    analytic, bound = _switch(params["analytic"], "analytic"), _switch(params["bound"], "bound")
     results: dict = {}
-    if params["bound"]:
+    if bound:
         try:
             results["gamma_max"] = weakval.negativity_gamma_bound(alpha)
         except weakval.WeakValueError as exc:
@@ -240,7 +262,7 @@ def cmd_weak(args: argparse.Namespace) -> int:
             raise CliError(str(exc), "gamma")
         results["analytic"] = {"plus_value": plus, "minus_value": minus, "p_plus": p_plus}
         shots = _number(params["shots"], "shots", int)
-        if shots is not None and not params["analytic"]:
+        if shots is not None and not analytic:
             seed = args.seed if args.seed is not None else _number(cfg.get("seed"), "seed", int)
             if seed is None:
                 raise CliError("seed is required when sampling", "seed")

@@ -8,7 +8,8 @@ by conjugating the CNOT with the rotation taking that basis to the
 computational one.
 
 Every statistic here is read from the gate's Kraus operators on the
-signal, a (2, 2, 2) stack indexed by meter outcome (``kraus``).
+signal, a (2, 2, 2) stack indexed by meter outcome (``kraus``); a grid of
+strengths is one more array axis, scored in one pass (``strength_sweep``).
 """
 
 from __future__ import annotations
@@ -32,6 +33,16 @@ class StrengthError(ValueError):
     """Meter amplitude outside the admissible range [1/sqrt(2), 1]."""
 
 
+def _checked_gammas(gammas) -> np.ndarray:
+    """``gammas`` as an array; StrengthError naming the first value outside
+    [1/sqrt(2), 1] (within GAMMA_ATOL), NaN included."""
+    g = np.asarray(gammas)
+    ok = (GAMMA_MIN - GAMMA_ATOL <= g) & (g <= 1.0 + GAMMA_ATOL)
+    if not ok.all():
+        raise StrengthError(f"gamma out of range [{GAMMA_MIN:.4f}, 1]: {g[~ok][0]}")
+    return g
+
+
 @dataclass(frozen=True)
 class MeterPrep:
     """Measurement strength: meter prepared in gamma|0> + gamma_bar|1>."""
@@ -39,10 +50,8 @@ class MeterPrep:
     gamma: float
 
     def __post_init__(self):
-        if not (GAMMA_MIN - GAMMA_ATOL <= self.gamma <= 1.0 + GAMMA_ATOL):
-            raise StrengthError(
-                f"gamma out of range [{GAMMA_MIN:.4f}, 1]: {self.gamma}"
-            )
+        if _checked_gammas(self.gamma).ndim:
+            raise TypeError(f"gamma must be a number, got {self.gamma!r}")
 
     @property
     def gamma_bar(self) -> float:
@@ -80,16 +89,24 @@ def kraus(prep: MeterPrep, basis: BasisSpec = hs.Z_BASIS) -> np.ndarray:
     computational basis: M_k |psi> is the signal branch that goes with
     meter reading k.
     """
+    return _kraus_stacks(prep.gamma, basis)
+
+
+def _kraus_stacks(gammas, basis: BasisSpec) -> np.ndarray:
+    """``kraus`` at every strength in ``gammas``: gammas.shape + (2, 2, 2)."""
     if basis.dim != 2:
         raise hs.HilbertError("observable basis must be a qubit basis")
-    c = np.array([[prep.gamma, prep.gamma_bar], [prep.gamma_bar, prep.gamma]])
+    g = _checked_gammas(gammas)
+    c = np.stack([g, np.sqrt(np.maximum(0.0, 1.0 - g**2))], axis=-1)
+    c = np.stack([c, c[..., ::-1]], axis=-2)  # c[..., k, :] = (c_k, c_{1-k})
     v = basis.vectors
-    return (v * c[:, None, :]) @ v.conj().T
+    return (v * c[..., None, :]) @ v.conj().T
 
 
 def _statistics(m: np.ndarray, basis: BasisSpec, amps: np.ndarray):
-    """Signal branches and (p_in, p_m, p_out) of inputs ``amps`` (last axis)."""
-    branches = np.einsum("ksi,...i->...ks", m, amps)
+    """Signal branches and (p_in, p_m, p_out) of inputs ``amps`` (n_inputs, 2)
+    under stacks ``m`` (..., 2, 2, 2); all but p_in lead with the axes of ``m``."""
+    branches = np.einsum("...ksi,ni->...nks", m, amps)
     to_basis = basis.vectors.conj()
     p_in = np.abs(amps @ to_basis) ** 2
     p_m = (np.abs(branches) ** 2).sum(axis=-1)
@@ -107,7 +124,8 @@ def run(signal: PureState, prep: MeterPrep, basis: BasisSpec = hs.Z_BASIS) -> QN
     """
     if signal.dim != 2:
         raise hs.HilbertError("signal must be a single qubit")
-    branches, p_in, p_m, p_out = _statistics(kraus(prep, basis), basis, signal.amps)
+    stats = _statistics(kraus(prep, basis), basis, signal.amps[None])
+    branches, p_in, p_m, p_out = (x[0] for x in stats)
     conditional = []
     for k in range(2):
         if p_m[k] < ZERO_BRANCH:
@@ -138,6 +156,24 @@ def pauli_ensemble() -> list[tuple[str, PureState]]:
     ]
 
 
+def _score(gammas, basis: BasisSpec, ensemble):
+    """Per-input F_M and F_QND (gammas.shape + (n_inputs,)), then F_QSP, the
+    pair (K, K_bar) and raw C^2 (gammas.shape), in one pass checked once."""
+    if len(ensemble) == 0:
+        raise ValueError("ensemble must be nonempty")
+    m = _kraus_stacks(gammas, basis)
+    amps = np.array([state.amps for _, state in ensemble])
+    _, p_in, p_m, p_out = _statistics(m, basis, amps)
+    joint, pair = metrics.kraus_figures(m, basis)
+    return (
+        metrics.classical_fidelities(p_in, p_m),
+        metrics.classical_fidelities(p_in, p_out),
+        np.trace(joint.q, axis1=-2, axis2=-1),
+        pair,
+        metrics.correlation_c2(joint),
+    )
+
+
 def characterize(
     prep: MeterPrep,
     basis: BasisSpec = hs.Z_BASIS,
@@ -154,35 +190,17 @@ def characterize(
     is the qubit identity 2 F_QSP - 1; they differ for intermediate
     strengths (the raw form equals the square of the shortcut here).
     """
-    if ensemble is None:
-        ensemble = pauli_ensemble()
-    if len(ensemble) == 0:
-        raise ValueError("ensemble must be nonempty")
-    m = kraus(prep, basis)
-    amps = np.array([state.amps for _, state in ensemble])
-    _, p_in, p_m, p_out = _statistics(m, basis, amps)
-    per_input = [
-        (label, metrics.measurement_fidelity(pi, pm), metrics.qnd_fidelity(pi, po))
-        for (label, _), pi, pm, po in zip(ensemble, p_in, p_m, p_out)
-    ]
-
-    joint, pair = metrics.kraus_figures(m, basis)
-    f_qsp = float(np.trace(joint.q))
-
-    fms = [fm for (_, fm, _) in per_input]
-    fqnds = [fq for (_, _, fq) in per_input]
+    ensemble = pauli_ensemble() if ensemble is None else ensemble
+    f_m, f_qnd, f_qsp, pair, c2_raw = _score(prep.gamma, basis, ensemble)
     report = metrics.FidelityReport(
-        f_m=min(fms),
-        f_qnd=min(fqnds),
-        f_qsp=f_qsp,
-        per_input=tuple(per_input),
-        f_m_mean=float(np.mean(fms)),
-        f_qnd_mean=float(np.mean(fqnds)),
+        f_m=float(f_m.min()),
+        f_qnd=float(f_qnd.min()),
+        f_qsp=float(f_qsp),
+        per_input=tuple(zip([label for label, _ in ensemble], f_m.tolist(), f_qnd.tolist())),
+        f_m_mean=float(f_m.mean()),
+        f_qnd_mean=float(f_qnd.mean()),
     )
-    c2 = {
-        "c2_raw": metrics.correlation_c2(joint),
-        "c2_shortcut": metrics.c2_from_fqsp(f_qsp),
-    }
+    c2 = {"c2_raw": float(c2_raw), "c2_shortcut": metrics.c2_from_fqsp(float(f_qsp))}
     return report, pair, c2
 
 
@@ -218,24 +236,18 @@ CSV_HEADER = ",".join(SWEEP_FIELDS)
 
 
 def strength_sweep(gammas, basis: BasisSpec = hs.Z_BASIS, ensemble=None) -> list[SweepRow]:
-    """Characterize the device on a grid of strengths, in the given order."""
-    rows = []
-    for g in gammas:
-        report, pair, c2 = characterize(MeterPrep(float(g)), basis, ensemble)
-        rows.append(
-            SweepRow(
-                gamma=float(g),
-                f_m=report.f_m,
-                f_qnd=report.f_qnd,
-                f_qsp=report.f_qsp,
-                k=pair.k,
-                k_bar=pair.k_bar,
-                englert=pair.englert_lhs,
-                c2_raw=c2["c2_raw"],
-                c2_shortcut=c2["c2_shortcut"],
-            )
-        )
-    return rows
+    """Characterize the device on a grid of strengths, in the given order.
+
+    Each row holds the values ``characterize`` gives at its strength.
+    """
+    g = np.fromiter(gammas, dtype=float)
+    if g.size == 0:
+        return []
+    ensemble = pauli_ensemble() if ensemble is None else ensemble
+    f_m, f_qnd, f_qsp, pair, c2_raw = _score(g, basis, ensemble)
+    columns = (g, f_m.min(axis=-1), f_qnd.min(axis=-1), f_qsp, pair.k, pair.k_bar,
+               pair.englert_lhs, c2_raw, metrics.c2_from_fqsp(f_qsp))  # SWEEP_FIELDS order
+    return [SweepRow(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def sweep_to_csv(rows) -> str:

@@ -189,6 +189,21 @@ X_BASIS = BasisSpec(np.array([[1, 1], [1, -1]]) / math.sqrt(2))
 Y_BASIS = BasisSpec(np.array([[1, 1], [1j, -1j]]) / math.sqrt(2))
 
 
+def checked_probabilities(p) -> np.ndarray:
+    """``p``, a stack of probability vectors along its last axis, clipped at 0;
+    HilbertError for an entry below -PROB_CLAMP or a sum not 1 within
+    PROB_ATOL (a NaN or infinite entry fails too)."""
+    p = np.asarray(p, dtype=float)
+    if p.min() < -PROB_CLAMP:
+        raise HilbertError(f"negative probability {p.min()}")
+    p = np.maximum(p, 0.0)
+    s = p.sum(axis=-1)
+    ok = abs(s - 1.0) <= PROB_ATOL
+    if not ok.all():
+        raise HilbertError(f"probabilities sum to {s[~ok][0]}, not 1")
+    return p
+
+
 @dataclass(frozen=True)
 class ProbDist:
     """Probability vector over measurement outcomes."""
@@ -196,13 +211,7 @@ class ProbDist:
     p: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float).ravel()
-        if p.min() < -PROB_CLAMP:
-            raise HilbertError(f"negative probability {p.min()}")
-        p = np.clip(p, 0.0, None)
-        s = p.sum()
-        if not abs(s - 1.0) <= PROB_ATOL:  # a NaN or infinite entry fails here too
-            raise HilbertError(f"probabilities sum to {s}, not 1")
+        p = checked_probabilities(np.ravel(self.p))
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
 

@@ -19,13 +19,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import X_BASIS, BasisSpec, ProbDist
+from .hilbert import X_BASIS, BasisSpec, ProbDist, checked_probabilities
 
 SATURATION_ATOL = 1e-9
 
 
 class MetricsError(ValueError):
     """Invalid input to a figure-of-merit computation."""
+
+
+def _check_range(name: str, v, lo: float) -> None:
+    """MetricsError unless every value of ``v`` lies in [lo, 1] within 1e-12 (NaN fails)."""
+    v = np.asarray(v)[()]  # a numpy scalar, or an array
+    ok = (lo - 1e-12 <= v) & (v <= 1 + 1e-12)
+    if not ok.all():
+        raise MetricsError(f"{name} = {v[~ok][0]} outside [{lo:g}, 1]")
 
 
 def _as_dist(p) -> np.ndarray:
@@ -46,7 +54,15 @@ def classical_fidelity(p, q) -> float:
     pa, qa = _as_dist(p), _as_dist(q)
     if pa.size != qa.size:
         raise MetricsError(f"distribution length mismatch: {pa.size} vs {qa.size}")
-    return float(np.sum(np.sqrt(pa * qa)) ** 2)
+    return float(classical_fidelities(pa, qa))
+
+
+def classical_fidelities(p, q) -> np.ndarray:
+    """F(p, q) along the last axis of stacks of distributions; each vector is
+    checked as a ``ProbDist`` is, and F in [0, 1], once per stack."""
+    f = np.sum(np.sqrt(checked_probabilities(p) * checked_probabilities(q)), axis=-1) ** 2
+    _check_range("fidelity", f, 0.0)
+    return f
 
 
 def measurement_fidelity(p_in, p_m) -> float:
@@ -69,8 +85,7 @@ def qsp_fidelity(p_m, conditional) -> float:
     cond = np.asarray(conditional, dtype=float).ravel()
     if cond.size != pm.size:
         raise MetricsError("one conditional probability required per outcome")
-    if cond.min() < -1e-12 or cond.max() > 1 + 1e-12:
-        raise MetricsError("conditional probabilities must lie in [0, 1]")
+    _check_range("conditional probability", cond, 0.0)
     return float(np.dot(pm, np.clip(cond, 0.0, 1.0)))
 
 
@@ -91,9 +106,7 @@ class FidelityReport:
 
     def __post_init__(self):
         for name in ("f_m", "f_qnd", "f_qsp"):
-            v = getattr(self, name)
-            if not (-1e-12 <= v <= 1 + 1e-12):
-                raise MetricsError(f"{name} = {v} outside [0, 1]")
+            _check_range(name, getattr(self, name), 0.0)
 
     def to_json(self) -> dict:
         out = {
@@ -114,16 +127,15 @@ class FidelityReport:
 
 @dataclass(frozen=True)
 class DistinguishabilityPair:
-    """Distinguishability of the QND observable (k) and its conjugate (k_bar)."""
+    """Distinguishability of the QND observable (k) and its conjugate (k_bar);
+    numbers, or arrays of one shape for a batch of devices."""
 
     k: float
     k_bar: float
 
     def __post_init__(self):
-        if not (-1 - 1e-12 <= self.k <= 1 + 1e-12):
-            raise MetricsError(f"k = {self.k} outside [-1, 1]")
-        if not (-1 - 1e-12 <= self.k_bar <= 1 + 1e-12):
-            raise MetricsError(f"k_bar = {self.k_bar} outside [-1, 1]")
+        _check_range("k", self.k, -1.0)
+        _check_range("k_bar", self.k_bar, -1.0)
 
     @property
     def englert_lhs(self) -> float:
@@ -139,7 +151,7 @@ class DistinguishabilityPair:
             "k": self.k,
             "k_bar": self.k_bar,
             "englert_lhs": self.englert_lhs,
-            "saturated": self.saturated,
+            "saturated": bool(self.saturated),
         }
 
 
@@ -149,18 +161,16 @@ def distinguishability(likelihood: float, p_c: float) -> DistinguishabilityPair:
     K = 2L - 1 measures how well the meter identifies eigenstates of the
     QND observable; K_bar = 2*P_c - 1 how well the signal output preserves
     eigenstates of the conjugate observable. A coherent generalized
-    measurement saturates K^2 + K_bar^2 = 1.
+    measurement saturates K^2 + K_bar^2 = 1. Arrays give a batched pair;
+    its check K, K_bar in [-1, 1] is the check L, P_c in [0, 1].
     """
-    if not (0 - 1e-12 <= likelihood <= 1 + 1e-12):
-        raise MetricsError(f"likelihood {likelihood} outside [0, 1]")
-    if not (0 - 1e-12 <= p_c <= 1 + 1e-12):
-        raise MetricsError(f"p_c {p_c} outside [0, 1]")
     return DistinguishabilityPair(k=2 * likelihood - 1, k_bar=2 * p_c - 1)
 
 
 @dataclass(frozen=True)
 class JointDist:
-    """Joint outcome distribution of two observables with their eigenvalues."""
+    """Joint outcome distribution of two observables with their eigenvalues;
+    leading axes of ``q`` hold a batch of distributions."""
 
     q: np.ndarray
     eigvals_a: np.ndarray
@@ -170,13 +180,9 @@ class JointDist:
         q = np.asarray(self.q, dtype=float)
         ea = np.asarray(self.eigvals_a, dtype=float).ravel()
         eb = np.asarray(self.eigvals_b, dtype=float).ravel()
-        if q.ndim != 2 or q.shape != (ea.size, eb.size):
+        if q.shape[-2:] != (ea.size, eb.size):
             raise MetricsError("joint matrix shape must match eigenvalue lists")
-        if q.min() < -1e-12:
-            raise MetricsError(f"negative joint probability {q.min()}")
-        q = np.clip(q, 0.0, None)
-        if abs(q.sum() - 1.0) > 1e-10:
-            raise MetricsError(f"joint probabilities sum to {q.sum()}")
+        q = checked_probabilities(q.reshape(q.shape[:-2] + (-1,))).reshape(q.shape)
         for arr in (q, ea, eb):
             arr.setflags(write=False)
         object.__setattr__(self, "q", q)
@@ -190,17 +196,17 @@ def correlation_c2(joint: JointDist, subtract_mean: bool = False) -> float:
     With ``subtract_mean`` the observables are first centered
     (O -> O - <O>), the convention used for CV quadrature fluctuations;
     the default uses the raw observables, matching the qubit Z form.
+    A batched ``joint`` gives one value per distribution.
     """
-    a = joint.eigvals_a.copy()
-    b = joint.eigvals_b.copy()
-    pa = joint.q.sum(axis=1)
-    pb = joint.q.sum(axis=0)
+    a, b, q = joint.eigvals_a, joint.eigvals_b, joint.q
+    pa = q.sum(axis=-1)
+    pb = q.sum(axis=-2)
     if subtract_mean:
-        a = a - np.dot(pa, a)
-        b = b - np.dot(pb, b)
-    corr = float(a @ joint.q @ b)
-    denom = float(np.dot(pa, a**2) * np.dot(pb, b**2))
-    if denom < 1e-24:
+        a = a - (pa @ a)[..., None]
+        b = b - (pb @ b)[..., None]
+    corr = (a[..., None, :] @ q @ b[..., :, None])[..., 0, 0]
+    denom = (pa * a**2).sum(axis=-1) * (pb * b**2).sum(axis=-1)
+    if np.any(denom < 1e-24):
         raise MetricsError("degenerate observable: zero second moment")
     return corr**2 / denom
 
@@ -208,7 +214,8 @@ def correlation_c2(joint: JointDist, subtract_mean: bool = False) -> float:
 def kraus_figures(m: np.ndarray, basis: BasisSpec) -> tuple[JointDist, DistinguishabilityPair]:
     """Joint (signal output, meter) distribution and (K, K_bar) of a Kraus stack.
 
-    ``m[k]`` is the signal operator for meter reading k. Each input psi is
+    ``m[..., k, :, :]`` is the signal operator for meter reading k; leading
+    axes are a batch of devices, kept in the results. Each input psi is
     conditioned on its success probability sum_k |M_k psi|^2 (1 unless the
     stack is heralded). The joint distribution is that of the maximally
     mixed input read in ``basis``; its trace is F_QSP = L. K_bar uses the
@@ -216,14 +223,15 @@ def kraus_figures(m: np.ndarray, basis: BasisSpec) -> tuple[JointDist, Distingui
     """
 
     def conditioned(v):
-        # w[k, j, i] = P(meter k, output v_j | input v_i, success)
+        # w[..., k, j, i] = P(meter k, output v_j | input v_i, success)
         w = np.abs(v.conj().T @ m @ v) ** 2
-        return w / w.sum(axis=(0, 1))
+        return w / w.sum(axis=(-3, -2), keepdims=True)
 
-    q = 0.5 * conditioned(basis.vectors).sum(axis=2).T
-    p_c = 0.5 * float(np.trace(conditioned(basis.vectors @ X_BASIS.vectors).sum(axis=0)))
+    q = 0.5 * conditioned(basis.vectors).sum(axis=-1).swapaxes(-2, -1)
+    hits = conditioned(basis.vectors @ X_BASIS.vectors).sum(axis=-3)
+    p_c = 0.5 * np.trace(hits, axis1=-2, axis2=-1)
     joint = JointDist(q, eigvals_a=[1.0, -1.0], eigvals_b=[1.0, -1.0])
-    return joint, distinguishability(float(np.trace(q)), p_c)
+    return joint, distinguishability(np.trace(q, axis1=-2, axis2=-1), p_c)
 
 
 def c2_from_fqsp(f_qsp: float) -> float:

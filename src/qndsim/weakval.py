@@ -20,6 +20,9 @@ from . import cnot_qnd, hilbert as hs
 from .hilbert import PureState
 
 N_HAT = np.diag([0.0, 1.0]).astype(complex)
+# shots drawn per step by ``estimate_sampled``; successive draws continue
+# one Philox stream, so the chunk size does not change any result
+CHUNK_SHOTS = 1 << 16
 
 
 class WeakValueError(ValueError):
@@ -161,7 +164,9 @@ def estimate_sampled(
     state; shots with final result '-' are discarded. The retained
     (+/-1)-valued meter record m gives the estimate via
     <n> = (1 + mean(m)/(2 gamma^2 - 1))/2. The stream is a counter-based
-    Philox generator keyed by ``seed``, so results are reproducible.
+    Philox generator keyed by ``seed``, so ``(shots, seed)`` fixes the
+    value bit for bit. Shots are drawn CHUNK_SHOTS at a time and only
+    counted, so memory does not grow with ``shots``.
     """
     if shots < 1:
         raise WeakValueError("shots must be >= 1")
@@ -177,17 +182,20 @@ def estimate_sampled(
     p_plus_given_k = np.divide(plus, p_m, out=np.zeros(2), where=p_m >= cnot_qnd.ZERO_BRANCH)
 
     rng = np.random.Generator(np.random.Philox(seed))
-    draws = rng.random((shots, 2))
-    ks = (draws[:, 0] < p_m[1]).astype(int)
-    retained = draws[:, 1] < p_plus_given_k[ks]
-    record = 2.0 * ks[retained] - 1.0
-    n = record.size
+    n = n1 = 0  # retained shots, and those with meter reading k = 1
+    for start in range(0, shots, CHUNK_SHOTS):
+        draws = rng.random((min(CHUNK_SHOTS, shots - start), 2))
+        ks = draws[:, 0] < p_m[1]
+        retained = draws[:, 1] < p_plus_given_k[ks.astype(int)]
+        n += int(np.count_nonzero(retained))
+        n1 += int(np.count_nonzero(ks & retained))
     if n == 0:
         raise EmptyPostSelectionError("empty post-selected ensemble")
-    mean = float(record.mean())
+    mean = (2 * n1 - n) / n
     value = (1.0 + mean / scale) / 2.0
     if n >= 2:
-        stderr = float(record.std(ddof=1)) / (2.0 * scale * math.sqrt(n))
+        # sample standard deviation of a +/-1 record with this mean
+        stderr = math.sqrt(n * (1.0 - mean * mean) / (n - 1)) / (2.0 * scale * math.sqrt(n))
     else:
         stderr = 0.0
     return WeakValueResult(

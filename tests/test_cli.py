@@ -217,6 +217,15 @@ WEAK = ["weak", "--alpha", "0.8", "--beta", "-0.6", "--gamma", "0.8"]
         (WEAK + ["--shots", "0", "--seed", "1"], None, "shots"),
         (["fidelity", "--p-in", "nan,1", "--p-m", "1,1"], None, "p_in"),
         (WEAK + ["--analytic", "--out", "{missing}"], None, "out"),
+        (["fidelity", "--p-in", "1,0", "--p-m", "1,0,0"], None, "p_m"),
+        (["fidelity", "--p-in", "1,0", "--p-out", "1,0,0"], None, "p_out"),
+        (["fidelity", "--p-in", "1,0", "--p-m", "1,0", "--conditionals", "1,2"], None, "conditionals"),
+        (["fidelity", "--p-in", "0,0", "--p-m", "1,0"], None, "p_in"),
+        (["optics"], {"signal": "H", "loss": "false"}, "loss"),
+        (["cnot-sweep"], {"gamma_points": 2.5}, "gamma_points"),
+        (["cnot-sweep"], {"gamma_points": True}, "gamma_points"),
+        (WEAK, {"analytic": "no"}, "analytic"),
+        (["weak"], {"alpha": 0.8, "bound": 1}, "bound"),
     ],
 )
 def test_bad_input_exits_2_naming_the_field(capsys, tmp_path, argv, config, field):

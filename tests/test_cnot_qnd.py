@@ -258,3 +258,36 @@ def test_sweep_json_roundtrip():
     blob = cq.sweep_to_json(rows)
     assert blob[0]["gamma"] == 0.9
     assert set(blob[0]) == set(cq.SWEEP_FIELDS)
+
+
+def test_sweep_rows_match_one_point_sweeps_and_characterize():
+    rng = np.random.default_rng(23)
+    basis = BasisSpec(random_unitary2(rng))
+    ensemble = cq.pauli_ensemble() + [(f"r{i}", random_qubit(rng)) for i in range(5)]
+    grid = np.linspace(cq.GAMMA_MIN, 1.0, 17)
+    rows = cq.strength_sweep(grid, basis, ensemble)
+    assert len(rows) == grid.size
+    for g, row in zip(grid, rows):
+        single = cq.strength_sweep([g], basis, ensemble)[0]
+        for field in cq.SWEEP_FIELDS:
+            assert getattr(row, field) == pytest.approx(getattr(single, field), abs=1e-12)
+        report, pair, c2 = cq.characterize(cq.MeterPrep(float(g)), basis, ensemble)
+        headline = (report.f_m, report.f_qnd, report.f_qsp, pair.k, pair.k_bar,
+                    pair.englert_lhs, c2["c2_raw"], c2["c2_shortcut"])
+        np.testing.assert_allclose(
+            [row.f_m, row.f_qnd, row.f_qsp, row.k, row.k_bar, row.englert, row.c2_raw, row.c2_shortcut],
+            headline, rtol=0, atol=1e-12,
+        )
+
+
+def test_sweep_rejects_bad_gamma_naming_it():
+    with pytest.raises(cq.StrengthError, match="0.6123"):
+        cq.strength_sweep([0.8, 0.9, 0.6123, 1.5, 1.0])
+    with pytest.raises(cq.StrengthError, match="nan"):
+        cq.strength_sweep([0.8, float("nan")])
+    with pytest.raises(cq.StrengthError):
+        cq.MeterPrep(float("nan"))
+
+
+def test_sweep_of_empty_grid_is_empty():
+    assert cq.strength_sweep([]) == []

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qndsim import metrics
@@ -194,9 +194,9 @@ def test_fidelity_one_implies_equal(p, q):
 @settings(max_examples=150, deadline=None)
 @given(st.floats(0, 50), st.floats(0, 50))
 def test_fm_from_tm_monotone(t1, t2):
-    if t1 == t2:
-        return
     lo, hi = sorted((t1, t2))
+    # the slope is about 2.7e-4 at t = 50, so closer inputs can round to one value
+    assume(hi - lo > 1e-9)
     assert fm_from_tm(lo) < fm_from_tm(hi)
 
 

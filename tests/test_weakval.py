@@ -318,6 +318,25 @@ def test_sampled_three_sigma_coverage():
     assert hits >= 99
 
 
+@pytest.mark.parametrize("extra", [-1, 0, 1, wv.CHUNK_SHOTS + 7])
+def test_sampled_chunks_match_one_shot_draws(extra):
+    shots = wv.CHUNK_SHOTS + extra
+    alpha, beta, gamma, seed = 0.6 * np.exp(0.5j), 0.8 * np.exp(0.7j), 0.85, 9
+    # one-shot formulation: every draw at once, then the sample mean and std
+    m = cq.kraus(cq.MeterPrep(gamma))
+    branches = m @ PureState.from_amplitudes([alpha, beta], dims=(2,)).amps
+    p_m = (np.abs(branches) ** 2).sum(axis=1)
+    p_plus = (np.abs(branches @ hs.PLUS.amps.conj()) ** 2) / p_m
+    draws = np.random.Generator(np.random.Philox(seed)).random((shots, 2))
+    ks = (draws[:, 0] < p_m[1]).astype(int)
+    record = 2.0 * ks[draws[:, 1] < p_plus[ks]] - 1.0
+    scale = 2 * gamma**2 - 1
+    r = estimate_sampled(alpha, beta, gamma, shots, seed)
+    assert r.value == (1.0 + float(record.mean()) / scale) / 2.0
+    expected = float(record.std(ddof=1)) / (2.0 * scale * math.sqrt(record.size))
+    assert r.stderr == pytest.approx(expected, rel=1e-12)
+
+
 def test_sampled_requires_shots():
     with pytest.raises(WeakValueError):
         estimate_sampled(0.8, -0.6, 0.8, 0, 1)
