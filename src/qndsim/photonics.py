@@ -21,15 +21,21 @@ maps the heralded meter onto the same polarization as the signal.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import metrics
-from .hilbert import Z_BASIS, PureState
+from .cnot_qnd import ZERO_BRANCH
+from .hilbert import NORM_ATOL, Z_BASIS, PureState
 
 A_MAX = math.sqrt(3.0) / 2.0
+A_MAX_ATOL = 1e-12  # strength a accepted up to A_MAX + A_MAX_ATOL, then clipped to A_MAX
+UNITARY_ATOL = 1e-12  # largest entry of |U^dag U - 1| accepted as unitary
+CIRCUIT_CACHE_SIZE = 8  # validated gates kept, one per (eta, include_signal_loss)
+_SIG, _MET, _DUMP = slice(0, 2), slice(2, 4), slice(4, None)  # the gate's signal, meter, dump modes
 
 # polarization qubit convention: index 0 = H, 1 = V
 POL_LABELS = ("H", "V")
@@ -82,7 +88,7 @@ class LinearCircuit:
         m = self.layout.n_modes
         if u.shape != (m, m):
             raise PhotonicsError(f"mode matrix shape {u.shape}, expected ({m},{m})")
-        if not np.allclose(u.conj().T @ u, np.eye(m), atol=1e-12):
+        if not (np.abs(u.conj().T @ u - np.eye(m)) <= UNITARY_ATOL).all():  # NaN fails too
             raise PhotonicsError("mode matrix is not unitary")
         u.setflags(write=False)
         object.__setattr__(self, "u", u)
@@ -111,7 +117,7 @@ class FockState:
             if amp != 0:
                 clean[pattern] = complex(amp)
         norm = math.sqrt(sum(abs(a) ** 2 for a in clean.values()))
-        if abs(norm - 1.0) > 1e-10:
+        if abs(norm - 1.0) > NORM_ATOL:
             raise PhotonicsError(f"two-photon state not normalized: |amp|^2 = {norm**2}")
         self.amps = clean
 
@@ -165,7 +171,7 @@ def meter_prep_strength(a: float) -> PureState:
     a = 0 leaves the signal unmeasured; a = sqrt(3)/2 reproduces |D(1/3)>,
     the projective limit of the eta = 1/3 gate.
     """
-    if not (0.0 <= a <= A_MAX + 1e-12):
+    if not (0.0 <= a <= A_MAX + A_MAX_ATOL):
         raise PhotonicsError(f"strength a must lie in [0, {A_MAX:.6f}], got {a}")
     a = min(a, A_MAX)
     return PureState((2,), np.array([a, math.sqrt(1.0 - a * a)]))
@@ -175,38 +181,33 @@ def meter_prep_strength(a: float) -> PureState:
 HWP = np.array([[1, 1], [1, -1]]) / math.sqrt(2.0)
 
 
-def _embed(m: int, block: np.ndarray, idx: tuple[int, int]) -> np.ndarray:
-    out = np.eye(m, dtype=complex)
-    i, j = idx
-    out[i, i], out[i, j] = block[0, 0], block[0, 1]
-    out[j, i], out[j, j] = block[1, 0], block[1, 1]
-    return out
-
-
 def build_qnd_circuit(
     eta: float, include_signal_loss: bool = False
 ) -> tuple[ModeLayout, LinearCircuit]:
     """Assemble the gate: eta-BS on the horizontal rails, optional 1/3-
-    transmittance balancing loss on s_V, and the output HWP on the meter."""
+    transmittance balancing loss on s_V, and the output HWP on the meter.
+    Built and validated once per (eta, include_signal_loss), then reused."""
     if not (0.0 < eta < 1.0):
         raise PhotonicsError(f"eta must lie in (0, 1), got {eta}")
-    names = ["s_H", "s_V", "m_H", "m_V"]
-    elements = [
-        {"kind": "beamsplitter", "modes": ["s_H", "m_H"], "eta": eta},
-    ]
+    return _qnd_circuit(float(eta), bool(include_signal_loss))
+
+
+@functools.lru_cache(maxsize=CIRCUIT_CACHE_SIZE)
+def _qnd_circuit(eta: float, include_signal_loss: bool) -> tuple[ModeLayout, LinearCircuit]:
+    # U is written block by block on the modes s_H 0, s_V 1, m_H 2, m_V 3, dump_s 4
+    names = ("s_H", "s_V", "m_H", "m_V") + (("dump_s",) if include_signal_loss else ())
+    elements = [{"kind": "beamsplitter", "modes": ("s_H", "m_H"), "eta": eta}]
+    u = np.eye(len(names), dtype=complex)
+    u[0:3:2, 0:3:2] = bs_matrix(eta)
     if include_signal_loss:
-        names.append("dump_s")
         elements.append(
-            {"kind": "loss_beamsplitter", "modes": ["s_V", "dump_s"], "transmittance": 1.0 / 3.0}
+            {"kind": "loss_beamsplitter", "modes": ("s_V", "dump_s"), "transmittance": 1.0 / 3.0}
         )
-    elements.append({"kind": "half_wave_plate", "modes": ["m_H", "m_V"], "angle_deg": 22.5})
-    layout = ModeLayout(tuple(names))
-    m = layout.n_modes
-    u = _embed(m, bs_matrix(eta), (layout.index("s_H"), layout.index("m_H")))
-    if include_signal_loss:
-        u = _embed(m, bs_matrix(1.0 / 3.0), (layout.index("s_V"), layout.index("dump_s"))) @ u
-    u = _embed(m, HWP, (layout.index("m_H"), layout.index("m_V"))) @ u
-    return layout, LinearCircuit(layout, u, tuple((tuple(e.items()) for e in elements)))
+        u[1:5:3, 1:5:3] = bs_matrix(1.0 / 3.0)
+    elements.append({"kind": "half_wave_plate", "modes": ("m_H", "m_V"), "angle_deg": 22.5})
+    u[_MET] = HWP @ u[_MET]
+    layout = ModeLayout(names)
+    return layout, LinearCircuit(layout, u, tuple(tuple(e.items()) for e in elements))
 
 
 def lift_two_photon(circuit: LinearCircuit, state: FockState) -> FockState:
@@ -289,8 +290,8 @@ def _output_amplitudes(circuit: LinearCircuit, signal: np.ndarray, meter: PureSt
     """
     if signal.shape[-1] != 2 or meter.dim != 2:
         raise PhotonicsError("signal and meter must be single-photon polarization qubits")
-    layout, u = circuit.layout, circuit.u
-    t = (signal @ u[:, layout.signal_modes].T)[..., :, None] * (u[:, layout.meter_modes] @ meter.amps)
+    u = circuit.u
+    t = (signal @ u[:, _SIG].T)[..., :, None] * (u[:, _MET] @ meter.amps)
     return t + np.swapaxes(t, -1, -2)
 
 
@@ -304,9 +305,9 @@ def heralded_kraus(
     sum_j meter_j perm U[(s_i', m_k), (s_i, m_j)]. The stack is trace-
     decreasing: sum_k |M_k psi|^2 is the heralding probability.
     """
-    layout, circuit = build_qnd_circuit(eta, include_signal_loss)
+    _, circuit = build_qnd_circuit(eta, include_signal_loss)
     phi = _output_amplitudes(circuit, np.eye(2), meter)
-    return phi[:, layout.signal_modes][:, :, layout.meter_modes].transpose(2, 1, 0)
+    return phi[:, _SIG, _MET].transpose(2, 1, 0)
 
 
 def run_gate(
@@ -320,20 +321,19 @@ def run_gate(
     Success: exactly one photon among the signal outputs, exactly one
     among the meter outputs, and none in any dump mode.
     """
-    layout, circuit = build_qnd_circuit(eta, include_signal_loss)
+    _, circuit = build_qnd_circuit(eta, include_signal_loss)
     phi = _output_amplitudes(circuit, signal_pol.amps, meter_pol)
-    s_idx, m_idx, dumps = layout.signal_modes, layout.meter_modes, layout.dump_modes
     # summed over ordered mode pairs, p counts each two-photon pattern once
     p = np.abs(phi) ** 2 / 2.0
-    joint = phi[np.ix_(s_idx, m_idx)]
-    success = float((np.abs(joint) ** 2).sum())
+    joint = phi[_SIG, _MET]
+    success = float(2.0 * p[_SIG, _MET].sum())
     failures = {
-        "both_in_signal": float(p[np.ix_(s_idx, s_idx)].sum()),
-        "both_in_meter": float(p[np.ix_(m_idx, m_idx)].sum()),
-        "dump": float(2.0 * p[dumps, :].sum() - p[np.ix_(dumps, dumps)].sum()),
+        "both_in_signal": float(p[_SIG, _SIG].sum()),
+        "both_in_meter": float(p[_MET, _MET].sum()),
+        "dump": float(2.0 * p[_DUMP].sum() - p[_DUMP, _DUMP].sum()),
     }
     conditional = None
-    if success > 1e-14:
+    if success > ZERO_BRANCH:
         conditional = PureState((2, 2), joint.ravel() / math.sqrt(success))
     return CoincidenceResult(success, conditional, failures)
 
@@ -345,7 +345,7 @@ def analytic_success(alpha: complex, beta: complex, include_signal_loss: bool = 
     input once the 2/3 loss on s_V is included.
     """
     n = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(n - 1.0) > 1e-10:
+    if abs(n - 1.0) > NORM_ATOL:
         raise PhotonicsError("input amplitudes must be normalized")
     if include_signal_loss:
         return 1.0 / 6.0

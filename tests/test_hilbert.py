@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qndsim import hilbert as hs
+from qndsim import photonics as ph
+from qndsim import weakval as wv
 from qndsim.hilbert import (
     BasisSpec,
     DensityMatrix,
@@ -212,6 +214,40 @@ def test_hadamard_involution():
 def test_non_unitary_rejected():
     with pytest.raises(HilbertError):
         apply_unitary(np.array([[1, 0], [0, 2]]), hs.KET0, [0])
+
+
+# off-Hermitian by 4e-6, and an identity whose first entry is 4e-6 too long
+SKEWED = np.array([[0.5, 0.45 + 4e-6], [0.45, 0.5]])
+STRETCHED = np.diag([1.0 + 4e-6, 1.0])
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        pytest.param(lambda: DensityMatrix((2,), SKEWED), HilbertError, "Hermitian", id="density"),
+        pytest.param(lambda: BasisSpec(STRETCHED), HilbertError, "orthonormal", id="basis"),
+        pytest.param(lambda: apply_unitary(STRETCHED, hs.KET0), HilbertError, "unitary", id="apply"),
+        pytest.param(
+            lambda: ph.LinearCircuit(ph.ModeLayout(("a", "b")), STRETCHED),
+            ph.PhotonicsError,
+            "unitary",
+            id="circuit",
+        ),
+        pytest.param(
+            lambda: wv.PovmPair(SKEWED, np.eye(2) - SKEWED), wv.WeakValueError, "e0", id="povm_effect"
+        ),
+        pytest.param(
+            lambda: wv.PovmPair(np.diag([0.5 + 8e-6, 0.5]), np.diag([0.5, 0.5])),
+            wv.WeakValueError,
+            "identity",
+            id="povm_sum",
+        ),
+    ],
+)
+def test_identity_checks_hold_their_absolute_tolerance(build, error, match):
+    # a relative tolerance against the identity would let a 1e-5 defect through
+    with pytest.raises(error, match=match):
+        build()
 
 
 # ------------------------------------------------------------------ properties

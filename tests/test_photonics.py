@@ -156,8 +156,45 @@ def test_circuit_with_loss():
 
 
 def test_circuit_rejects_eta():
-    with pytest.raises(PhotonicsError):
-        build_qnd_circuit(0.0)
+    for eta in (0.0, math.nan, 0.0, math.nan, 1.0):
+        with pytest.raises(PhotonicsError):
+            build_qnd_circuit(eta)
+
+
+def test_circuit_of_numpy_eta_is_the_float_circuit():
+    _, circuit = build_qnd_circuit(ETA)
+    for eta in (np.float64(ETA), np.array(ETA)):
+        np.testing.assert_array_equal(build_qnd_circuit(eta)[1].u, circuit.u)
+
+
+def test_memoized_gate_keys_on_eta_and_loss():
+    sig, meter = PureState.from_amplitudes([0.6, 0.8j]), meter_prep(ETA)
+    first = {}
+    keys = [(ETA, False), (ETA, True), (0.62, False), (ETA, False), (0.62, False), (ETA, True)]
+    for eta, loss in keys:
+        layout, circuit = build_qnd_circuit(eta, loss)
+        assert layout.n_modes == 4 + loss and dict(circuit.elements[0])["eta"] == eta
+        res = run_gate(sig, meter, eta, loss)
+        got = (res.success_prob, res.failure_breakdown, list(res.conditional_joint.amps))
+        got += (heralded_kraus(meter, eta, loss).tolist(),)
+        if eta == ETA:
+            assert res.success_prob == pytest.approx(analytic_success(0.6, 0.8j, loss), abs=1e-12)
+        assert first.setdefault((eta, loss), got) == got
+
+
+def test_memoized_gate_hands_out_nothing_writable_it_keeps():
+    _, circuit = build_qnd_circuit(ETA)
+    with pytest.raises(ValueError):
+        circuit.u[0, 0] = 0.0
+    blob, expected = circuit.to_json(), circuit.to_json()
+    blob["modes"] += ["x"]
+    blob["elements"][0]["modes"] += ("x",)
+    blob["u_re"][0][0] = 9.0
+    assert build_qnd_circuit(ETA)[1].to_json() == expected
+    kraus = heralded_kraus(meter_prep(ETA))
+    kept = kraus.copy()
+    kraus[...] = 0.0
+    np.testing.assert_array_equal(heralded_kraus(meter_prep(ETA)), kept)
 
 
 def test_circuit_json():
