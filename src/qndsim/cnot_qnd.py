@@ -100,17 +100,17 @@ def _kraus_stacks(gammas, basis: BasisSpec) -> np.ndarray:
     c = np.stack([g, np.sqrt(np.maximum(0.0, 1.0 - g**2))], axis=-1)
     c = np.stack([c, c[..., ::-1]], axis=-2)  # c[..., k, :] = (c_k, c_{1-k})
     v = basis.vectors
-    return (v * c[..., None, :]) @ v.conj().T
+    return metrics._matmul_last(v * c[..., None, :], v.conj().T)
 
 
 def _statistics(m: np.ndarray, basis: BasisSpec, amps: np.ndarray):
     """Signal branches and (p_in, p_m, p_out) of inputs ``amps`` (n_inputs, 2)
     under stacks ``m`` (..., 2, 2, 2); all but p_in lead with the axes of ``m``."""
-    branches = np.einsum("...ksi,ni->...nks", m, amps)
+    branches = np.moveaxis(metrics._matmul_last(m, amps.T), -1, -3)
     to_basis = basis.vectors.conj()
     p_in = np.abs(amps @ to_basis) ** 2
     p_m = (np.abs(branches) ** 2).sum(axis=-1)
-    p_out = (np.abs(branches @ to_basis) ** 2).sum(axis=-2)
+    p_out = (np.abs(metrics._matmul_last(branches, to_basis)) ** 2).sum(axis=-2)
     return branches, p_in, p_m, p_out
 
 
@@ -143,17 +143,16 @@ def run(signal: PureState, prep: MeterPrep, basis: BasisSpec = hs.Z_BASIS) -> QN
     )
 
 
+_S = 1 / math.sqrt(2)
+_PAULI_ENSEMBLE = (
+    ("|0>", hs.KET0), ("|1>", hs.KET1), ("|+>", hs.PLUS), ("|->", hs.MINUS),
+    ("|+i>", hs.qubit(_S, 1j * _S)), ("|-i>", hs.qubit(_S, -1j * _S)),
+)
+
+
 def pauli_ensemble() -> list[tuple[str, PureState]]:
     """The six Pauli eigenstates; default probe set spanning the qubit space."""
-    s = 1 / math.sqrt(2)
-    return [
-        ("|0>", hs.qubit(1, 0)),
-        ("|1>", hs.qubit(0, 1)),
-        ("|+>", hs.qubit(s, s)),
-        ("|->", hs.qubit(s, -s)),
-        ("|+i>", hs.qubit(s, 1j * s)),
-        ("|-i>", hs.qubit(s, -1j * s)),
-    ]
+    return list(_PAULI_ENSEMBLE)
 
 
 def _score(gammas, basis: BasisSpec, ensemble):

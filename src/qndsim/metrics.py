@@ -32,8 +32,16 @@ def _check_range(name: str, v, lo: float) -> None:
     """MetricsError unless every value of ``v`` lies in [lo, 1] within 1e-12 (NaN fails)."""
     v = np.asarray(v)[()]  # a numpy scalar, or an array
     ok = (lo - 1e-12 <= v) & (v <= 1 + 1e-12)
-    if not ok.all():
+    if ok.ndim == 0:
+        if not ok:
+            raise MetricsError(f"{name} = {v} outside [{lo:g}, 1]")
+    elif not ok.all():
         raise MetricsError(f"{name} = {v[~ok][0]} outside [{lo:g}, 1]")
+
+
+def _matmul_last(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``x @ a`` for a stack ``x`` (..., n) and a matrix ``a`` (n, p), as one 2-D product."""
+    return (x.reshape(-1, x.shape[-1]) @ a).reshape(x.shape[:-1] + a.shape[-1:])
 
 
 def _as_dist(p) -> np.ndarray:
@@ -202,9 +210,9 @@ def correlation_c2(joint: JointDist, subtract_mean: bool = False) -> float:
     pa = q.sum(axis=-1)
     pb = q.sum(axis=-2)
     if subtract_mean:
-        a = a - (pa @ a)[..., None]
-        b = b - (pb @ b)[..., None]
-    corr = (a[..., None, :] @ q @ b[..., :, None])[..., 0, 0]
+        a = a - (pa * a).sum(axis=-1)[..., None]
+        b = b - (pb * b).sum(axis=-1)[..., None]
+    corr = ((a[..., :, None] * q).sum(axis=-2) * b).sum(axis=-1)
     denom = (pa * a**2).sum(axis=-1) * (pb * b**2).sum(axis=-1)
     if np.any(denom < 1e-24):
         raise MetricsError("degenerate observable: zero second moment")
@@ -224,7 +232,8 @@ def kraus_figures(m: np.ndarray, basis: BasisSpec) -> tuple[JointDist, Distingui
 
     def conditioned(v):
         # w[..., k, j, i] = P(meter k, output v_j | input v_i, success)
-        w = np.abs(v.conj().T @ m @ v) ** 2
+        vhm = _matmul_last(m.swapaxes(-2, -1), v.conj()).swapaxes(-2, -1)  # (M^T V^*)^T
+        w = np.abs(_matmul_last(vhm, v)) ** 2
         return w / w.sum(axis=(-3, -2), keepdims=True)
 
     q = 0.5 * conditioned(basis.vectors).sum(axis=-1).swapaxes(-2, -1)

@@ -45,11 +45,11 @@ class PovmPair:
             m = np.array(getattr(self, name), dtype=complex)
             m.setflags(write=False)
             object.__setattr__(self, name, m)
-            if not np.allclose(m, m.conj().T, rtol=0, atol=1e-12):
+            if not (np.abs(m - m.conj().T) <= 1e-12).all():
                 raise WeakValueError(f"{name} is not Hermitian")
             if np.linalg.eigvalsh(m).min() < -1e-10:
                 raise WeakValueError(f"{name} is not positive semidefinite")
-        if not np.allclose(self.e0 + self.e1, np.eye(2), rtol=0, atol=1e-12):
+        if not (np.abs(self.e0 + self.e1 - np.eye(2)) <= 1e-12).all():
             raise WeakValueError("effects do not sum to the identity")
 
     def probability(self, k: int, psi: PureState) -> float:

@@ -289,5 +289,13 @@ def test_sweep_rejects_bad_gamma_naming_it():
         cq.MeterPrep(float("nan"))
 
 
+def test_pauli_ensemble_is_a_fresh_list_each_call():
+    first = cq.pauli_ensemble()
+    first.append(("extra", hs.KET0))
+    second = cq.pauli_ensemble()
+    assert len(second) == 6 and [label for label, _ in second] == ["|0>", "|1>", "|+>", "|->", "|+i>", "|-i>"]
+    assert second is not cq.pauli_ensemble()
+
+
 def test_sweep_of_empty_grid_is_empty():
     assert cq.strength_sweep([]) == []

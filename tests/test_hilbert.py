@@ -52,6 +52,23 @@ def test_purestate_rejects_nan():
         PureState((2,), np.array([np.nan, 0.0]))
 
 
+@pytest.mark.parametrize(
+    "amps, match",
+    [
+        ([np.nan, 0.0], "non-finite"),
+        ([np.inf, 0.0], "non-finite"),
+        ([-np.inf, 0.0], "non-finite"),
+        ([0.6, complex(0.0, np.inf)], "non-finite"),
+        ([np.inf, np.nan], "non-finite"),
+        (1.01 * np.array([0.6, 0.8j]), "not normalized"),
+        ([1e200, 0.0], "not normalized"),
+    ],
+)
+def test_purestate_names_why_it_rejects(amps, match):
+    with pytest.raises(HilbertError, match=match):
+        PureState((2,), np.array(amps))
+
+
 def test_probdist_clamps_tiny_negative():
     p = ProbDist(np.array([1.0 + 5e-13, -5e-13]))
     assert p[1] == 0.0

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qndsim import metrics
+from qndsim.hilbert import X_BASIS, BasisSpec
 from qndsim.metrics import (
     DistinguishabilityPair,
     JointDist,
@@ -98,6 +99,19 @@ def test_distinguishability_rejects_out_of_range():
         distinguishability(1.2, 0.5)
     with pytest.raises(MetricsError):
         distinguishability(0.5, -0.1)
+
+
+@pytest.mark.parametrize("lo", [0.0, -1.0])
+@pytest.mark.parametrize("bad", ["below", "nan", "above"])
+@pytest.mark.parametrize("batched", [False, True], ids=["scalar", "array"])
+def test_range_check_names_the_value_outside(lo, bad, batched):
+    value = {"below": lo - 2e-12, "nan": float("nan"), "above": 1 + 2e-12}[bad]
+    metrics._check_range("x", np.array([lo, 0.5, 1.0]) if batched else lo, lo)
+    with pytest.raises(MetricsError, match=f"x = {value} outside"):
+        metrics._check_range("x", np.array([lo, value, 1.0]) if batched else value, lo)
+    if lo == -1.0:
+        with pytest.raises(MetricsError, match=f"k = {value} outside"):
+            DistinguishabilityPair(k=np.array([0.0, value]) if batched else value, k_bar=0.0)
 
 
 def test_correlation_perfect():
@@ -207,3 +221,64 @@ def test_englert_bound_for_simulated_cnot_family():
         _, pair, _ = cnot_qnd.characterize(cnot_qnd.MeterPrep(float(g)))
         assert pair.englert_lhs <= 1 + 1e-9
         assert pair.englert_lhs == pytest.approx(1.0, abs=1e-9)
+
+
+# ------------------------------------------------ batched Kraus-stack reader
+
+
+def _reader_stacks():
+    """A (3, 4) batch of complex, trace-decreasing and trace-preserving stacks,
+    with the random complex basis they are read in."""
+    from qndsim import cnot_qnd, photonics
+
+    rng = np.random.default_rng(71)
+    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    basis = BasisSpec(np.linalg.qr(z)[0])
+    stacks = [
+        photonics.heralded_kraus(
+            photonics.meter_prep_strength(rng.uniform(0.0, photonics.A_MAX)),
+            rng.uniform(0.2, 0.8),
+            include_signal_loss=bool(rng.integers(2)),
+        )
+        for _ in range(6)
+    ]
+    stacks += [cnot_qnd.kraus(cnot_qnd.MeterPrep(rng.uniform(cnot_qnd.GAMMA_MIN, 1.0)), basis) for _ in range(6)]
+    return np.array(stacks).reshape(3, 4, 2, 2, 2), basis
+
+
+def _reference_figures(m, basis):
+    """q, K, K_bar and both C^2 conventions, by explicit einsum contractions."""
+
+    def conditioned(v):
+        w = np.abs(np.einsum("sj,...kst,ti->...kji", v.conj(), m, v)) ** 2
+        return w / w.sum(axis=(-3, -2), keepdims=True)
+
+    q = 0.5 * np.einsum("...kji->...jk", conditioned(basis.vectors))
+    p_c = 0.5 * np.einsum("...kii->...", conditioned(basis.vectors @ X_BASIS.vectors))
+    ev = np.array([1.0, -1.0])
+    c2 = {}
+    for centered in (False, True):
+        pa, pb = q.sum(axis=-1), q.sum(axis=-2)
+        a = ev - centered * np.einsum("...i,i->...", pa, ev)[..., None]
+        b = ev - centered * np.einsum("...j,j->...", pb, ev)[..., None]
+        corr = np.einsum("...ij,...i,...j->...", q, a, b)
+        c2[centered] = corr**2 / (np.einsum("...i,...i->...", pa, a**2) * np.einsum("...j,...j->...", pb, b**2))
+    return q, 2 * np.einsum("...ii->...", q) - 1, 2 * p_c - 1, c2
+
+
+def test_batched_reader_matches_per_stack_calls_and_einsum_reference():
+    m, basis = _reader_stacks()
+    joint, pair = metrics.kraus_figures(m, basis)
+    c2 = {centered: correlation_c2(joint, subtract_mean=centered) for centered in (False, True)}
+    assert joint.q.shape == (3, 4, 2, 2) and pair.k.shape == c2[True].shape == (3, 4)
+    for idx in np.ndindex(3, 4):
+        one_joint, one_pair = metrics.kraus_figures(m[idx], basis)
+        np.testing.assert_allclose(joint.q[idx], one_joint.q, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(
+            [pair.k[idx], pair.k_bar[idx], c2[False][idx], c2[True][idx]],
+            [one_pair.k, one_pair.k_bar, correlation_c2(one_joint), correlation_c2(one_joint, subtract_mean=True)],
+            rtol=0, atol=1e-15,
+        )
+    q, k, k_bar, ref_c2 = _reference_figures(m, basis)
+    for got, want in [(joint.q, q), (pair.k, k), (pair.k_bar, k_bar), (c2[False], ref_c2[False]), (c2[True], ref_c2[True])]:
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
