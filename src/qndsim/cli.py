@@ -7,12 +7,15 @@ Subcommands:
   weak        post-selected weak/strong values, analytic or sampled
 
 Parameters come from a JSON config file (``--config``) and/or flags;
-flags override the file. Reports echo the fully resolved config so a run
-can be reproduced from its own output. Errors are emitted as a JSON
-object {"error": ..., "field": ...} on stderr: exit code 2 for bad input,
-naming the offending field, and 1 for an internal fault.
+flags override the file; ``--seed`` belongs to ``weak`` alone. A report's
+``config`` is exactly the parameters given (for ``fidelity``, with those
+read from its counts file), so ``qndsim <cmd> --config <saved config>``
+reproduces its ``results``: ``cnot-sweep`` echoes ``gamma_points`` or
+``gamma``, not the grid, and ``optics`` its given ``signal``, amplitudes
+and switches, not the signal and meter states. Errors are emitted as a
+JSON object {"error": ..., "field": ...} on stderr: exit code 2 for bad
+input, naming the offending field, and 1 for an internal fault.
 """
-
 from __future__ import annotations
 
 import argparse
@@ -59,65 +62,38 @@ def _switch(value, field: str) -> bool:
     return value
 
 
-def _load_config(path: str | None) -> dict:
+def _load_object(path, field: str) -> dict:
+    """The JSON object in the file at ``path``, or {} if unset; CliError
+    naming ``field`` for a path that is not a string, a file that cannot be
+    read or parsed, and JSON that is not an object."""
     if path is None:
         return {}
+    if not isinstance(path, str):
+        raise CliError(f"{field} must be a file path, got {path!r}", field)
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"could not read config file: {exc}", "config")
-    if not isinstance(cfg, dict):
-        raise CliError("config file must contain a JSON object", "config")
-    return cfg
+        raise CliError(f"could not read {field} {path!r}: {exc}", field)
+    if not isinstance(obj, dict):
+        raise CliError(f"{field} {path!r} must contain a JSON object", field)
+    return obj
 
 
-def _resolve(cfg: dict, args: argparse.Namespace, keys: list[str]) -> dict:
-    """Merge config-file values with flags; flags win when given."""
-    out = {}
-    for key in keys:
-        flag = getattr(args, key.replace("-", "_"), None)
-        out[key] = flag if flag is not None else cfg.get(key)
-    return out
+def _checked(field: str, errors, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``; an exception of class ``errors`` is bad input,
+    a CliError naming ``field``. Any other exception is an internal fault."""
+    try:
+        return fn(*args, **kwargs)
+    except errors as exc:
+        raise CliError(str(exc), field)
 
 
-def _emit(report: dict, args: argparse.Namespace, csv_text: str | None = None) -> None:
-    fmt = getattr(args, "format", None) or "json"
-    if fmt == "csv" and csv_text is not None:
-        text = csv_text
-    else:
-        text = json.dumps(report, indent=2)
-    if getattr(args, "out", None):
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
-        except OSError as exc:
-            raise CliError(f"could not write report: {exc}", "out")
-    print(text)
-
-
-def _report(config: dict, results: dict, started: float) -> dict:
-    return {
-        "config": config,
-        "version": __version__,
-        "duration_s": time.monotonic() - started,
-        "results": results,
-    }
-
-
-def cmd_fidelity(args: argparse.Namespace) -> int:
-    started = time.monotonic()
-    cfg = _load_config(args.config)
-    params = _resolve(cfg, args, ["p_in", "p_m", "p_out", "conditionals", "counts_file"])
-    if params["counts_file"]:
-        try:
-            with open(params["counts_file"]) as fh:
-                counts = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"could not read counts file: {exc}", "counts_file")
-        for key in ("p_in", "p_m", "p_out", "conditionals"):
-            if params[key] is None and key in counts:
-                params[key] = counts[key]
+def cmd_fidelity(params: dict) -> dict:
+    counts = _load_object(params["counts_file"], "counts_file")
+    for key in ("p_in", "p_m", "p_out", "conditionals"):
+        if params[key] is None and key in counts:
+            params[key] = counts[key]
 
     def dist(key):
         v = params[key]
@@ -129,33 +105,25 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
             raise CliError(f"malformed distribution for {key}", key)
         return [_number(x, key) for x in v]
 
-    def checked(field, fn, *args):
-        """``fn(*args)``; a bad value is a CliError naming ``field``."""
-        try:
-            return fn(*args)
-        except ValueError as exc:  # MetricsError and HilbertError included
-            raise CliError(str(exc), field)
-
+    # MetricsError and HilbertError are ValueErrors
     p_in, p_m, p_out, cond = dist("p_in"), dist("p_m"), dist("p_out"), dist("conditionals")
     if p_in is None:
         raise CliError("p_in is required", "p_in")
-    p_in = checked("p_in", ProbDist.from_weights, p_in)
+    p_in = _checked("p_in", ValueError, ProbDist.from_weights, p_in)
     results = {}
     if p_m is not None:
-        p_m = checked("p_m", ProbDist.from_weights, p_m)
-        results["f_m"] = checked("p_m", metrics.measurement_fidelity, p_in, p_m)
+        p_m = _checked("p_m", ValueError, ProbDist.from_weights, p_m)
+        results["f_m"] = _checked("p_m", ValueError, metrics.measurement_fidelity, p_in, p_m)
     if p_out is not None:
-        p_out = checked("p_out", ProbDist.from_weights, p_out)
-        results["f_qnd"] = checked("p_out", metrics.qnd_fidelity, p_in, p_out)
+        p_out = _checked("p_out", ValueError, ProbDist.from_weights, p_out)
+        results["f_qnd"] = _checked("p_out", ValueError, metrics.qnd_fidelity, p_in, p_out)
     if cond is not None:
         if p_m is None:
             raise CliError("conditionals require p_m", "p_m")
-        results["f_qsp"] = checked("conditionals", metrics.qsp_fidelity, p_m, cond)
+        results["f_qsp"] = _checked("conditionals", ValueError, metrics.qsp_fidelity, p_m, cond)
     if not results:
         raise CliError("provide at least one of p_m, p_out", "p_m")
-    config = {k: v for k, v in params.items() if v is not None}
-    _emit(_report(config, results, started), args)
-    return 0
+    return results
 
 
 def _gamma_grid(params: dict) -> list[float]:
@@ -170,27 +138,12 @@ def _gamma_grid(params: dict) -> list[float]:
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
-def cmd_cnot_sweep(args: argparse.Namespace) -> int:
-    started = time.monotonic()
-    cfg = _load_config(args.config)
-    params = _resolve(cfg, args, ["gamma", "gamma_points"])
-    grid = _gamma_grid(params)
-    try:
-        rows = cnot_qnd.strength_sweep(grid)
-    except cnot_qnd.StrengthError as exc:
-        raise CliError(str(exc), "gamma")
-    config = {"gamma_grid": grid}
-    report = _report(config, {"rows": cnot_qnd.sweep_to_json(rows)}, started)
-    _emit(report, args, csv_text=cnot_qnd.sweep_to_csv(rows))
-    return 0
+def cmd_cnot_sweep(params: dict) -> tuple[dict, str]:
+    rows = _checked("gamma", cnot_qnd.StrengthError, cnot_qnd.strength_sweep, _gamma_grid(params))
+    return {"rows": cnot_qnd.sweep_to_json(rows)}, cnot_qnd.sweep_to_csv(rows)
 
 
-def cmd_optics(args: argparse.Namespace) -> int:
-    started = time.monotonic()
-    cfg = _load_config(args.config)
-    params = _resolve(
-        cfg, args, ["signal", "alpha", "beta", "eta", "strength_a", "loss"]
-    )
+def cmd_optics(params: dict) -> dict:
     eta = _number(params["eta"], "eta", default=1.0 / 3.0)
     loss = _switch(params["loss"], "loss")
     if params["signal"] is not None:
@@ -201,82 +154,74 @@ def cmd_optics(args: argparse.Namespace) -> int:
     else:
         alpha = _number(params["alpha"], "alpha", default=1.0)
         beta = _number(params["beta"], "beta", default=0.0)
-        try:
-            signal = PureState.from_amplitudes([alpha, beta], dims=(2,))
-        except ValueError as exc:
-            raise CliError(str(exc), "alpha")
+        signal = _checked("alpha", ValueError, PureState.from_amplitudes, [alpha, beta], dims=(2,))
     a = _number(params["strength_a"], "strength_a")
-    try:
-        meter = photonics.meter_prep(eta) if a is None else photonics.meter_prep_strength(a)
-    except photonics.PhotonicsError as exc:
-        raise CliError(str(exc), "eta" if a is None else "strength_a")
+    if a is None:
+        meter = _checked("eta", photonics.PhotonicsError, photonics.meter_prep, eta)
+    else:
+        meter = _checked("strength_a", photonics.PhotonicsError, photonics.meter_prep_strength, a)
     loss = loss or a is not None  # the variable-strength regime needs the balancing loss
-    try:
-        result = photonics.run_gate(signal, meter, eta, include_signal_loss=loss)
-        kraus = photonics.heralded_kraus(meter, eta, include_signal_loss=loss)
-    except photonics.PhotonicsError as exc:
-        raise CliError(str(exc), "eta")
-
+    result, kraus = _checked("eta", photonics.PhotonicsError, lambda: (
+        photonics.run_gate(signal, meter, eta, include_signal_loss=loss),
+        photonics.heralded_kraus(meter, eta, include_signal_loss=loss),
+    ))
     results = result.to_json()
     # post-selected signal/meter correlation, averaged over eigenstate inputs
     joint, _ = metrics.kraus_figures(kraus, Z_BASIS)
     results["c2"] = metrics.correlation_c2(joint)
-    config = {
-        "eta": eta,
-        "loss": loss,
-        "signal": signal.to_json(),
-        "meter": meter.to_json(),
-        "strength_a": params["strength_a"],
-    }
-    _emit(_report(config, results, started), args)
-    return 0
+    return results
 
 
-def cmd_weak(args: argparse.Namespace) -> int:
-    started = time.monotonic()
-    cfg = _load_config(args.config)
-    params = _resolve(
-        cfg, args, ["alpha", "beta", "gamma", "shots", "analytic", "bound"]
-    )
+def cmd_weak(params: dict) -> dict:
     alpha = _number(params["alpha"], "alpha")
     if alpha is None:
         raise CliError("alpha is required", "alpha")
     analytic, bound = _switch(params["analytic"], "analytic"), _switch(params["bound"], "bound")
-    results: dict = {}
     if bound:
+        gamma_max = _checked("alpha", weakval.WeakValueError, weakval.negativity_gamma_bound, alpha)
+        return {"gamma_max": gamma_max}
+    beta, gamma = _number(params["beta"], "beta"), _number(params["gamma"], "gamma")
+    if beta is None or gamma is None:
+        raise CliError("beta and gamma are required", "gamma")
+    _checked("alpha", ValueError, PureState, (2,), [alpha, beta])
+    errors = (weakval.WeakValueError, cnot_qnd.StrengthError)
+    plus, minus, p_plus = _checked("gamma", errors, weakval.postselected_mean_n, alpha, beta, gamma)
+    results = {"analytic": {"plus_value": plus, "minus_value": minus, "p_plus": p_plus}}
+    shots = _number(params["shots"], "shots", int)
+    if shots is not None and not analytic:
+        seed = _number(params["seed"], "seed", int)
+        if seed is None:
+            raise CliError("seed is required when sampling", "seed")
+        if seed < 0:
+            raise CliError(f"seed must be >= 0, got {seed}", "seed")
+        sampled = _checked("shots", weakval.WeakValueError, weakval.estimate_sampled,
+                           alpha, beta, gamma, shots, seed)
+        results["sampled"] = sampled.to_json()
+    return results
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Merge flags over the config file, run the subcommand, and emit its
+    report, which echoes as ``config`` the parameters that are set."""
+    started = time.monotonic()
+    cfg = _load_object(args.config, "config")
+    params = {k: cfg.get(k) if getattr(args, k) is None else getattr(args, k) for k in args.keys}
+    out = args.func(params)
+    results, csv_text = out if isinstance(out, tuple) else (out, None)
+    report = {
+        "config": {k: v for k, v in params.items() if v is not None},
+        "version": __version__,
+        "duration_s": time.monotonic() - started,
+        "results": results,
+    }
+    text = csv_text if getattr(args, "format", None) == "csv" else json.dumps(report, indent=2)
+    if args.out:
         try:
-            results["gamma_max"] = weakval.negativity_gamma_bound(alpha)
-        except weakval.WeakValueError as exc:
-            raise CliError(str(exc), "alpha")
-    else:
-        beta, gamma = _number(params["beta"], "beta"), _number(params["gamma"], "gamma")
-        if beta is None or gamma is None:
-            raise CliError("beta and gamma are required", "gamma")
-        try:
-            PureState((2,), [alpha, beta])
-        except ValueError as exc:
-            raise CliError(str(exc), "alpha")
-        try:
-            plus, minus, p_plus = weakval.postselected_mean_n(alpha, beta, gamma)
-        except (weakval.WeakValueError, cnot_qnd.StrengthError) as exc:
-            raise CliError(str(exc), "gamma")
-        results["analytic"] = {"plus_value": plus, "minus_value": minus, "p_plus": p_plus}
-        shots = _number(params["shots"], "shots", int)
-        if shots is not None and not analytic:
-            seed = args.seed if args.seed is not None else _number(cfg.get("seed"), "seed", int)
-            if seed is None:
-                raise CliError("seed is required when sampling", "seed")
-            if seed < 0:
-                raise CliError(f"seed must be >= 0, got {seed}", "seed")
-            try:
-                sampled = weakval.estimate_sampled(alpha, beta, gamma, shots, seed)
-            except weakval.WeakValueError as exc:
-                raise CliError(str(exc), "shots")
-            results["sampled"] = sampled.to_json()
-    config = {k: v for k, v in params.items() if v is not None}
-    if args.seed is not None:
-        config["seed"] = args.seed
-    _emit(_report(config, results, started), args)
+            with open(args.out, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise CliError(f"could not write report: {exc}", "out")
+    print(text)
     return 0
 
 
@@ -284,42 +229,43 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override it")
     common.add_argument("--out", help="write the report to this path as well")
-    common.add_argument("--seed", type=int, help="RNG seed for sampled runs")
 
     parser = argparse.ArgumentParser(prog="qndsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fidelity", parents=[common], help="fidelities from distributions")
-    p.add_argument("--p-in", help="comma-separated weights of the input distribution")
-    p.add_argument("--p-m", help="meter outcome distribution")
-    p.add_argument("--p-out", help="signal output distribution")
-    p.add_argument("--conditionals", help="per-outcome conditional probabilities")
-    p.add_argument("--counts-file", help="JSON file with raw counts per distribution")
-    p.set_defaults(func=cmd_fidelity)
+    def command(name, func, help, *flags):
+        """A subcommand whose parameters are exactly ``flags``, each a
+        ``(flag, add_argument keywords)`` pair."""
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(func=func, keys=[p.add_argument(f, **kw).dest for f, kw in flags])
+        return p
 
-    p = sub.add_parser("cnot-sweep", parents=[common], help="strength sweep of the CNOT QND gate")
-    p.add_argument("--gamma", type=float, help="single strength instead of a grid")
-    p.add_argument("--gamma-points", type=int, help="grid size over [1/sqrt(2), 1]")
+    on = {"action": "store_const", "const": True}
+    command("fidelity", cmd_fidelity, "fidelities from distributions",
+            ("--p-in", {"help": "comma-separated weights of the input distribution"}),
+            ("--p-m", {"help": "meter outcome distribution"}),
+            ("--p-out", {"help": "signal output distribution"}),
+            ("--conditionals", {"help": "per-outcome conditional probabilities"}),
+            ("--counts-file", {"help": "JSON file with raw counts per distribution"}))
+    p = command("cnot-sweep", cmd_cnot_sweep, "strength sweep of the CNOT QND gate",
+                ("--gamma", {"type": float, "help": "single strength instead of a grid"}),
+                ("--gamma-points", {"type": int, "help": "grid size over [1/sqrt(2), 1]"}))
     p.add_argument("--format", choices=["json", "csv"], help="output format")
-    p.set_defaults(func=cmd_cnot_sweep)
-
-    p = sub.add_parser("optics", parents=[common], help="post-selected optical QND gate")
-    p.add_argument("--signal", help="eigenstate signal: H or V")
-    p.add_argument("--alpha", type=float, help="signal H amplitude")
-    p.add_argument("--beta", type=float, help="signal V amplitude")
-    p.add_argument("--eta", type=float, help="beamsplitter reflectivity (default 1/3)")
-    p.add_argument("--strength-a", type=float, help="meter strength a in [0, sqrt(3)/2]")
-    p.add_argument("--loss", action="store_const", const=True, help="include the 2/3 balancing loss")
-    p.set_defaults(func=cmd_optics)
-
-    p = sub.add_parser("weak", parents=[common], help="post-selected weak values")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--shots", type=int, help="Monte-Carlo shots (requires --seed)")
-    p.add_argument("--analytic", action="store_const", const=True, help="closed form only")
-    p.add_argument("--bound", action="store_const", const=True, help="negativity bound on gamma")
-    p.set_defaults(func=cmd_weak)
+    command("optics", cmd_optics, "post-selected optical QND gate",
+            ("--signal", {"help": "eigenstate signal: H or V"}),
+            ("--alpha", {"type": float, "help": "signal H amplitude"}),
+            ("--beta", {"type": float, "help": "signal V amplitude"}),
+            ("--eta", {"type": float, "help": "beamsplitter reflectivity (default 1/3)"}),
+            ("--strength-a", {"type": float, "help": "meter strength a in [0, sqrt(3)/2]"}),
+            ("--loss", {**on, "help": "include the 2/3 balancing loss"}))
+    command("weak", cmd_weak, "post-selected weak values",
+            ("--alpha", {"type": float}),
+            ("--beta", {"type": float}),
+            ("--gamma", {"type": float}),
+            ("--shots", {"type": int, "help": "Monte-Carlo shots (requires --seed)"}),
+            ("--analytic", {**on, "help": "closed form only"}),
+            ("--bound", {**on, "help": "negativity bound on gamma"}),
+            ("--seed", {"type": int, "help": "RNG seed for sampled runs"}))
     return parser
 
 
@@ -327,7 +273,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except CliError as exc:
         print(json.dumps({"error": str(exc), "field": exc.field}), file=sys.stderr)
         return 2

@@ -116,22 +116,6 @@ class FidelityReport:
         for name in ("f_m", "f_qnd", "f_qsp"):
             _check_range(name, getattr(self, name), 0.0)
 
-    def to_json(self) -> dict:
-        out = {
-            "f_m": self.f_m,
-            "f_qnd": self.f_qnd,
-            "f_qsp": self.f_qsp,
-            "per_input": [
-                {"input": label, "f_m": fm, "f_qnd": fq}
-                for (label, fm, fq) in self.per_input
-            ],
-        }
-        if self.f_m_mean is not None:
-            out["f_m_mean"] = self.f_m_mean
-        if self.f_qnd_mean is not None:
-            out["f_qnd_mean"] = self.f_qnd_mean
-        return out
-
 
 @dataclass(frozen=True)
 class DistinguishabilityPair:
@@ -153,14 +137,6 @@ class DistinguishabilityPair:
     def saturated(self) -> bool:
         """True iff the complementarity bound k^2 + k_bar^2 <= 1 is tight."""
         return abs(self.englert_lhs - 1.0) < SATURATION_ATOL
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "k_bar": self.k_bar,
-            "englert_lhs": self.englert_lhs,
-            "saturated": bool(self.saturated),
-        }
 
 
 def distinguishability(likelihood: float, p_c: float) -> DistinguishabilityPair:

@@ -166,6 +166,16 @@ def test_format_is_rejected_outside_cnot_sweep():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["fidelity", "--p-in", "1,0", "--p-m", "1,0"], ["cnot-sweep"], ["optics", "--signal", "H"]],
+)
+def test_seed_is_rejected_outside_weak(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "1"])
+    assert exc.value.code == 2
+
+
 def test_weak_bound(capsys):
     code, out, _ = run_cli(capsys, "weak", "--alpha", "0.8", "--bound")
     assert code == 0
@@ -198,6 +208,38 @@ def test_rerun_from_embedded_config(capsys, tmp_path):
     assert json.loads(out2)["results"] == report["results"]
 
 
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["fidelity", "--p-in", "90,10", "--p-m", "88,12", "--p-out", "85,15"], None),
+        (["cnot-sweep", "--gamma-points", "3"], None),
+        (["cnot-sweep", "--gamma", "0.9"], None),
+        (["optics", "--signal", "V"], None),
+        (["optics", "--alpha", "0.6", "--beta", "0.8", "--loss"], None),
+        (["optics", "--strength-a", "0.4"], None),
+        (["optics", "--eta", "0.4"], None),
+        (["weak", "--alpha", "0.8", "--bound"], None),
+        (["weak", "--alpha", "0.8", "--beta", "-0.6", "--gamma", "0.8", "--analytic"], None),
+        (["weak", "--alpha", "0.8", "--beta", "-0.6", "--gamma", "0.85",
+          "--shots", "2000", "--seed", "5"], None),
+        (["weak"], {"alpha": 0.8, "beta": -0.6, "gamma": 0.85, "shots": 2000, "seed": 5}),
+    ],
+)
+def test_report_replays_from_its_own_config(capsys, tmp_path, argv, config):
+    if config is not None:
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    report = json.loads(out)
+    saved = tmp_path / "replay.json"
+    saved.write_text(json.dumps(report["config"]))
+    code2, out2, _ = run_cli(capsys, argv[0], "--config", str(saved))
+    assert code2 == 0
+    assert json.loads(out2)["results"] == report["results"]
+
+
 WEAK = ["weak", "--alpha", "0.8", "--beta", "-0.6", "--gamma", "0.8"]
 
 
@@ -226,6 +268,8 @@ WEAK = ["weak", "--alpha", "0.8", "--beta", "-0.6", "--gamma", "0.8"]
         (["cnot-sweep"], {"gamma_points": True}, "gamma_points"),
         (WEAK, {"analytic": "no"}, "analytic"),
         (["weak"], {"alpha": 0.8, "bound": 1}, "bound"),
+        (["fidelity", "--p-in", "1,0", "--p-m", "1,0"], {"counts_file": ["a.json"]}, "counts_file"),
+        (["fidelity", "--p-in", "1,0", "--p-m", "1,0"], {"counts_file": 3.5}, "counts_file"),
     ],
 )
 def test_bad_input_exits_2_naming_the_field(capsys, tmp_path, argv, config, field):
@@ -238,3 +282,13 @@ def test_bad_input_exits_2_naming_the_field(capsys, tmp_path, argv, config, fiel
     assert code == 2
     assert out == ""
     assert json.loads(err)["field"] == field
+
+
+@pytest.mark.parametrize("counts", [5, [1, 2]])
+def test_counts_file_must_hold_a_json_object(capsys, tmp_path, counts):
+    path = tmp_path / "counts.json"
+    path.write_text(json.dumps(counts))
+    code, out, err = run_cli(capsys, "fidelity", "--p-in", "1,0", "--counts-file", str(path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["field"] == "counts_file"
