@@ -6,15 +6,15 @@ Subcommands:
   optics      simulate the post-selected linear-optical gate
   weak        post-selected weak/strong values, analytic or sampled
 
-Parameters come from a JSON config file (``--config``) and/or flags;
-flags override the file; ``--seed`` belongs to ``weak`` alone. A report's
-``config`` is exactly the parameters given (for ``fidelity``, with those
-read from its counts file), so ``qndsim <cmd> --config <saved config>``
-reproduces its ``results``: ``cnot-sweep`` echoes ``gamma_points`` or
-``gamma``, not the grid, and ``optics`` its given ``signal``, amplitudes
-and switches, not the signal and meter states. Errors are emitted as a
-JSON object {"error": ..., "field": ...} on stderr: exit code 2 for bad
-input, naming the offending field, and 1 for an internal fault.
+Parameters come from a JSON config file (``--config``) of the
+subcommand's own keys and/or flags; flags override the file; ``--seed``
+belongs to ``weak`` alone. A report's ``config`` is exactly the parameters
+given (for ``fidelity``, with those read from its counts file), so
+``qndsim <cmd> --config <saved config>`` reproduces its ``results``:
+``cnot-sweep`` echoes ``gamma_points`` or ``gamma``, not the grid, and
+``optics`` its given ``signal``, amplitudes and switches, not the signal
+and meter states. Errors go to stderr as {"error": ..., "field": ...}:
+exit code 2 for bad input, naming the offending field, 1 for an internal fault.
 """
 from __future__ import annotations
 
@@ -205,6 +205,9 @@ def _run(args: argparse.Namespace) -> int:
     report, which echoes as ``config`` the parameters that are set."""
     started = time.monotonic()
     cfg = _load_object(args.config, "config")
+    unknown = sorted(set(cfg) - set(args.keys))
+    if unknown:
+        raise CliError(f"{args.command} takes no parameter {unknown[0]!r}", unknown[0])
     params = {k: cfg.get(k) if getattr(args, k) is None else getattr(args, k) for k in args.keys}
     out = args.func(params)
     results, csv_text = out if isinstance(out, tuple) else (out, None)

@@ -12,17 +12,22 @@ shot-level Monte-Carlo estimator are provided.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import cnot_qnd, hilbert as hs
-from .hilbert import PureState
+from .hilbert import NORM_ATOL, PureState
 
 N_HAT = np.diag([0.0, 1.0]).astype(complex)
-# shots drawn per step by ``estimate_sampled``; successive draws continue
-# one Philox stream, so the chunk size does not change any result
-CHUNK_SHOTS = 1 << 16
+CHUNK_SHOTS = 1 << 16  # shots drawn per step by ``estimate_sampled``; no result depends on it
+EFFECT_ATOL = 1e-12  # entrywise Hermiticity and completeness defect of an effect pair
+PSD_ATOL = 1e-10  # most negative eigenvalue an effect may have
+ORTHOGONAL_ATOL = 1e-12  # |<phi|psi>| at or below which the weak value is undefined
+ZERO_POSTSELECTION = 1e-12  # post-selection probability that counts as zero
+SINGULAR_SCALE = 1e-12  # |2 gamma^2 - 1| below which the meter says nothing about n
 
 
 class WeakValueError(ValueError):
@@ -45,11 +50,11 @@ class PovmPair:
             m = np.array(getattr(self, name), dtype=complex)
             m.setflags(write=False)
             object.__setattr__(self, name, m)
-            if not (np.abs(m - m.conj().T) <= 1e-12).all():
+            if not (np.abs(m - m.conj().T) <= EFFECT_ATOL).all():
                 raise WeakValueError(f"{name} is not Hermitian")
-            if np.linalg.eigvalsh(m).min() < -1e-10:
+            if np.linalg.eigvalsh(m).min() < -PSD_ATOL:
                 raise WeakValueError(f"{name} is not positive semidefinite")
-        if not (np.abs(self.e0 + self.e1 - np.eye(2)) <= 1e-12).all():
+        if not (np.abs(self.e0 + self.e1 - np.eye(2)) <= EFFECT_ATOL).all():
             raise WeakValueError("effects do not sum to the identity")
 
     def probability(self, k: int, psi: PureState) -> float:
@@ -85,7 +90,7 @@ def weak_value(x: np.ndarray, psi: PureState, phi: PureState) -> float:
     """Re <phi|X|psi> / <phi|psi>; may lie outside the spectrum of X."""
     x = np.asarray(x, dtype=complex)
     denom = complex(np.vdot(phi.amps, psi.amps))
-    if abs(denom) <= 1e-12:
+    if abs(denom) <= ORTHOGONAL_ATOL:
         raise WeakValueError("undefined weak value: orthogonal pre/post selection")
     num = complex(phi.amps.conj() @ x @ psi.amps)
     return float((num / denom).real)
@@ -99,7 +104,7 @@ def strong_value_postselected(x: np.ndarray, psi: PureState, phi: PureState) -> 
     evals, evecs = np.linalg.eigh(x)
     w = (np.abs(evecs.conj().T @ phi.amps) ** 2) * (np.abs(evecs.conj().T @ psi.amps) ** 2)
     total = float(w.sum())
-    if total <= 1e-12:
+    if total <= ZERO_POSTSELECTION:
         raise WeakValueError("zero post-selection probability")
     return float(np.dot(w, evals.real) / total)
 
@@ -125,17 +130,17 @@ def postselected_mean_n(
     real amplitudes, but only Re[alpha beta*] is invariant under a global
     phase. Satisfies P(+) <+><n> + P(-) <-><n> = |beta|^2.
     """
-    if not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= 1e-10:  # NaN fails too
+    if not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= NORM_ATOL:  # NaN fails too
         raise WeakValueError("input amplitudes must be normalized")
     prep = cnot_qnd.MeterPrep(gamma)
     gg = prep.gamma * prep.gamma_bar
     denom_core = 2.0 * gamma**2 - 1.0
-    if abs(denom_core) < 1e-12:
+    if abs(denom_core) < SINGULAR_SCALE:
         raise WeakValueError("estimator singular: gamma = 1/sqrt(2) exactly")
     r = (alpha * np.conj(beta)).real
     p_plus = (1.0 + 4.0 * gg * r) / 2.0
     p_minus = (1.0 - 4.0 * gg * r) / 2.0
-    if p_plus < 1e-12 or p_minus < 1e-12:
+    if p_plus < ZERO_POSTSELECTION or p_minus < ZERO_POSTSELECTION:
         raise WeakValueError("vanishing post-selection probability")
     b2 = abs(beta) ** 2
     plus_value = (b2 + 2.0 * gg * r) / (2.0 * p_plus)
@@ -154,6 +159,25 @@ def negativity_gamma_bound(alpha: float) -> float:
     return math.sqrt((1.0 + math.sqrt(2.0 * alpha**2 - 1.0) / alpha) / 2.0)
 
 
+def _available_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _count_span(seed: int, start: int, stop: int, p_k1: float, p0: float, p1: float) -> tuple[int, int]:
+    """(retained, retained with meter reading k = 1) among shots [start, stop), ``start`` even."""
+    rng = np.random.Generator(np.random.Philox(seed).advance(start // 2))  # 2 words a shot, 4 a block
+    draws = np.empty((min(CHUNK_SHOTS, stop - start), 2))
+    ks, hits = np.empty((2, len(draws)), bool)
+    n0 = n1 = 0
+    for lo in range(start, stop, CHUNK_SHOTS):
+        d, k, hit = rng.random(out=draws[: stop - lo]), ks[: stop - lo], hits[: stop - lo]
+        np.less(d[:, 0], p_k1, out=k)  # meter reading k; kept if d[:, 1] < P(+|k), p0 or p1
+        n1 += np.count_nonzero(np.logical_and(np.less(d[:, 1], p1, out=hit), k, out=hit))
+        np.logical_not(k, out=k)
+        n0 += np.count_nonzero(np.logical_and(np.less(d[:, 1], p0, out=hit), k, out=hit))
+    return n0 + n1, n1
+
+
 def estimate_sampled(
     alpha: complex, beta: complex, gamma: float, shots: int, seed: int
 ) -> WeakValueResult:
@@ -165,14 +189,15 @@ def estimate_sampled(
     (+/-1)-valued meter record m gives the estimate via
     <n> = (1 + mean(m)/(2 gamma^2 - 1))/2. The stream is a counter-based
     Philox generator keyed by ``seed``, so ``(shots, seed)`` fixes the
-    value bit for bit. Shots are drawn CHUNK_SHOTS at a time and only
-    counted, so memory does not grow with ``shots``.
+    value bit for bit on any number of CPUs. Spans of whole CHUNK_SHOTS
+    chunks are counted in parallel on the CPUs available to the process,
+    and memory does not grow with ``shots``.
     """
     if shots < 1:
         raise WeakValueError("shots must be >= 1")
     prep = cnot_qnd.MeterPrep(gamma)
     scale = 2.0 * prep.gamma**2 - 1.0
-    if scale < 1e-12:
+    if scale < SINGULAR_SCALE:
         raise WeakValueError("estimator singular: gamma = 1/sqrt(2) exactly")
     psi = PureState.from_amplitudes([alpha, beta], dims=(2,))
     branches = cnot_qnd.kraus(prep) @ psi.amps
@@ -181,14 +206,26 @@ def estimate_sampled(
     plus = np.abs(branches @ hs.PLUS.amps.conj()) ** 2
     p_plus_given_k = np.divide(plus, p_m, out=np.zeros(2), where=p_m >= cnot_qnd.ZERO_BRANCH)
 
-    rng = np.random.Generator(np.random.Philox(seed))
-    n = n1 = 0  # retained shots, and those with meter reading k = 1
-    for start in range(0, shots, CHUNK_SHOTS):
-        draws = rng.random((min(CHUNK_SHOTS, shots - start), 2))
-        ks = draws[:, 0] < p_m[1]
-        retained = draws[:, 1] < p_plus_given_k[ks.astype(int)]
-        n += int(np.count_nonzero(retained))
-        n1 += int(np.count_nonzero(ks & retained))
+    chunks = -(-shots // CHUNK_SHOTS)
+    workers = min(chunks, _available_cpus())
+    edges = [min(shots, CHUNK_SHOTS * (chunks * i // workers)) for i in range(workers + 1)]
+    counts = [None] * workers  # (n, n1) of each span, or the exception it raised
+
+    def count(i):
+        try:
+            counts[i] = _count_span(seed, edges[i], edges[i + 1], p_m[1], *p_plus_given_k)
+        except BaseException as exc:  # raised below, once every span is done
+            counts[i] = exc
+    threads = [threading.Thread(target=count, args=(i,)) for i in range(1, workers)]
+    for t in threads:
+        t.start()
+    count(0)
+    for t in threads:
+        t.join()
+    errors = [c for c in counts if isinstance(c, BaseException)]
+    if errors:
+        raise errors[0]
+    n, n1 = map(sum, zip(*counts))  # retained shots, and those with meter reading k = 1
     if n == 0:
         raise EmptyPostSelectionError("empty post-selected ensemble")
     mean = (2 * n1 - n) / n

@@ -270,6 +270,12 @@ WEAK = ["weak", "--alpha", "0.8", "--beta", "-0.6", "--gamma", "0.8"]
         (["weak"], {"alpha": 0.8, "bound": 1}, "bound"),
         (["fidelity", "--p-in", "1,0", "--p-m", "1,0"], {"counts_file": ["a.json"]}, "counts_file"),
         (["fidelity", "--p-in", "1,0", "--p-m", "1,0"], {"counts_file": 3.5}, "counts_file"),
+        (["cnot-sweep"], {"gamma_grid": [0.9], "gama": 0.8}, "gama"),
+        (["cnot-sweep", "--gamma", "0.9"], {"gamma_grid": [0.9]}, "gamma_grid"),
+        (["optics"], {"signal": "H", "meter": {"dims": [2], "amps": [1, 0]}}, "meter"),
+        (["fidelity", "--p-in", "1,0", "--p-m", "1,0"], {"seed": 3}, "seed"),
+        (WEAK + ["--analytic"], {"format": "csv"}, "format"),
+        (WEAK + ["--analytic"], {"config": {"alpha": 0.8}, "results": {}}, "config"),
     ],
 )
 def test_bad_input_exits_2_naming_the_field(capsys, tmp_path, argv, config, field):

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -335,6 +338,81 @@ def test_sampled_chunks_match_one_shot_draws(extra):
     assert r.value == (1.0 + float(record.mean()) / scale) / 2.0
     expected = float(record.std(ddof=1)) / (2.0 * scale * math.sqrt(record.size))
     assert r.stderr == pytest.approx(expected, rel=1e-12)
+
+
+def sampled(*args):
+    """(value, stderr) of ``estimate_sampled``, or "empty" if no shot is kept."""
+    try:
+        r = estimate_sampled(*args)
+    except EmptyPostSelectionError:
+        return "empty"
+    return r.value, r.stderr
+
+
+C = wv.CHUNK_SHOTS
+
+
+@pytest.mark.parametrize("shots", [1, C - 1, C, C + 1, 3 * C + 7, 10**6])
+@pytest.mark.parametrize(
+    "alpha, beta, gamma",
+    [
+        (0.6 * np.exp(0.5j), 0.8 * np.exp(0.7j), 0.85),
+        (0.8, -0.6, 0.8),  # one meter reading is never kept
+        (0.6, 0.8, 0.8),  # P(+|0) = 1
+        (1.0, 0.0, 1.0),  # |0>: the meter never reads 1
+        (S, S, 0.85),  # |+>
+    ],
+)
+def test_sampled_is_bit_identical_on_any_cpu_count(monkeypatch, alpha, beta, gamma, shots):
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads switch often, so a lost count would show
+    try:
+        for cpus in (1, 2, 3, 7):
+            monkeypatch.setattr(wv, "_available_cpus", lambda: cpus)
+            results.append(sampled(alpha, beta, gamma, shots, 12))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[1:] == results[:-1]
+
+
+class ThreadSpy(threading.Thread):
+    started: list = []
+
+    def start(self):
+        ThreadSpy.started.append(self)
+        super().start()
+
+
+@pytest.mark.parametrize("shots, threads", [(1, 0), (C, 0), (C + 1, 1), (10**6, 6)])
+def test_sampled_threads_end_with_the_call(monkeypatch, shots, threads):
+    monkeypatch.setattr(wv, "_available_cpus", lambda: 7)
+    monkeypatch.setattr(wv, "threading", SimpleNamespace(Thread=ThreadSpy))
+    monkeypatch.setattr(ThreadSpy, "started", [])
+    before = threading.active_count()
+    estimate_sampled(0.6, 0.8, 0.85, shots, 4)
+    assert len(ThreadSpy.started) == threads
+    assert not any(t.is_alive() for t in ThreadSpy.started)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("failing", [0, C, 2 * C])
+def test_sampled_raises_what_a_span_raises(monkeypatch, failing):
+    count_span = wv._count_span
+
+    def flaky(seed, start, *args):
+        if start == failing:
+            raise RuntimeError(f"span at {start}")
+        return count_span(seed, start, *args)
+
+    monkeypatch.setattr(wv, "_available_cpus", lambda: 3)
+    monkeypatch.setattr(wv, "threading", SimpleNamespace(Thread=ThreadSpy))
+    monkeypatch.setattr(ThreadSpy, "started", [])
+    monkeypatch.setattr(wv, "_count_span", flaky)
+    with pytest.raises(RuntimeError, match=f"span at {failing}$"):
+        estimate_sampled(0.6, 0.8, 0.85, 3 * C, 4)
+    assert len(ThreadSpy.started) == 2
+    assert not any(t.is_alive() for t in ThreadSpy.started)
 
 
 def test_sampled_requires_shots():
