@@ -17,6 +17,9 @@ import numpy as np
 NORM_ATOL = 1e-10  # a state's normalization accepted within this of 1
 PROB_ATOL = 1e-10
 PROB_CLAMP = 1e-12
+ZERO_NORM = 1e-14  # amplitudes of a smaller norm are the zero vector, which has no state
+ORTHONORMAL_ATOL = 1e-10  # largest entry of |V^dag V - 1| accepted for a basis
+PHASE_ATOL = 1e-10  # states whose |overlap| lies within this of 1 are equal up to phase
 
 
 class HilbertError(ValueError):
@@ -41,11 +44,11 @@ class PureState:
     amps: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(map(int, self.dims))
         amps = _as_readonly(np.asarray(self.amps).ravel())
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amps", amps)
-        if any(d < 1 for d in dims):
+        if dims and min(dims) < 1:
             raise HilbertError("subsystem dimensions must be >= 1")
         if amps.size != math.prod(dims):
             raise HilbertError(
@@ -70,7 +73,7 @@ class PureState:
         """Build a state from (possibly unnormalized) amplitudes."""
         a = np.asarray(amps, dtype=complex).ravel()
         n = np.linalg.norm(a)
-        if n < 1e-14:
+        if n < ZERO_NORM:
             raise HilbertError("cannot normalize the zero vector")
         if dims is None:
             dims = (a.size,)
@@ -91,7 +94,7 @@ class PureState:
             raise HilbertError("dimension mismatch in overlap")
         return complex(np.vdot(self.amps, other.amps))
 
-    def equal_up_to_phase(self, other: "PureState", atol: float = 1e-10) -> bool:
+    def equal_up_to_phase(self, other: "PureState", atol: float = PHASE_ATOL) -> bool:
         return abs(abs(self.overlap(other)) - 1.0) <= atol
 
     def to_json(self) -> dict:
@@ -165,7 +168,7 @@ class BasisSpec:
         object.__setattr__(self, "vectors", v)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise HilbertError("basis must be a square matrix of column vectors")
-        if not (np.abs(v.conj().T @ v - np.eye(v.shape[0])) <= 1e-10).all():
+        if not (np.abs(v.conj().T @ v - np.eye(v.shape[0])) <= ORTHONORMAL_ATOL).all():
             raise HilbertError("basis columns are not orthonormal")
 
     @property

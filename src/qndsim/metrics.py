@@ -22,6 +22,10 @@ import numpy as np
 from .hilbert import X_BASIS, BasisSpec, ProbDist, checked_probabilities
 
 SATURATION_ATOL = 1e-9
+RANGE_ATOL = 1e-12  # a figure of merit accepted this far outside its range, e.g. [0, 1]
+DEGENERATE_MOMENT = 1e-24  # <O_A^2><O_B^2> below this: an observable is zero, C^2 undefined
+_PLUS_MINUS = np.array([1.0, -1.0])  # eigenvalues of the qubit observables kraus_figures reads
+_PLUS_MINUS.setflags(write=False)
 
 
 class MetricsError(ValueError):
@@ -29,9 +33,9 @@ class MetricsError(ValueError):
 
 
 def _check_range(name: str, v, lo: float) -> None:
-    """MetricsError unless every value of ``v`` lies in [lo, 1] within 1e-12 (NaN fails)."""
+    """MetricsError unless every value of ``v`` lies in [lo, 1] within RANGE_ATOL (NaN fails)."""
     v = np.asarray(v)[()]  # a numpy scalar, or an array
-    ok = (lo - 1e-12 <= v) & (v <= 1 + 1e-12)
+    ok = (lo - RANGE_ATOL <= v) & (v <= 1 + RANGE_ATOL)
     if ok.ndim == 0:
         if not ok:
             raise MetricsError(f"{name} = {v} outside [{lo:g}, 1]")
@@ -190,7 +194,7 @@ def correlation_c2(joint: JointDist, subtract_mean: bool = False) -> float:
         b = b - (pb * b).sum(axis=-1)[..., None]
     corr = ((a[..., :, None] * q).sum(axis=-2) * b).sum(axis=-1)
     denom = (pa * a**2).sum(axis=-1) * (pb * b**2).sum(axis=-1)
-    if np.any(denom < 1e-24):
+    if np.any(denom < DEGENERATE_MOMENT):
         raise MetricsError("degenerate observable: zero second moment")
     return corr**2 / denom
 
@@ -215,7 +219,7 @@ def kraus_figures(m: np.ndarray, basis: BasisSpec) -> tuple[JointDist, Distingui
     q = 0.5 * conditioned(basis.vectors).sum(axis=-1).swapaxes(-2, -1)
     hits = conditioned(basis.vectors @ X_BASIS.vectors).sum(axis=-3)
     p_c = 0.5 * np.trace(hits, axis1=-2, axis2=-1)
-    joint = JointDist(q, eigvals_a=[1.0, -1.0], eigvals_b=[1.0, -1.0])
+    joint = JointDist(q, eigvals_a=_PLUS_MINUS, eigvals_b=_PLUS_MINUS)
     return joint, distinguishability(np.trace(q, axis1=-2, axis2=-1), p_c)
 
 

@@ -8,9 +8,10 @@ measurement of the signal polarization. Loss is modeled unitarily by a
 beamsplitter into an explicit dump mode, so the full mode transformation
 stays unitary and "no photon in the dump" is a literal pattern constraint.
 
-``run_gate`` and ``heralded_kraus`` read the gate off the 2x2 permanents
-of the mode unitary; the Fock-space expansion (``FockState``,
-``two_photon_input``, ``lift_two_photon``) is kept as their reference.
+``run_gate`` and ``heralded_kraus`` read the gate off one cached pair map
+per (eta, loss), the 2x2 permanents of a mode unitary checked on every gate
+built; the Fock-space expansion (``FockState``, ``two_photon_input``,
+``lift_two_photon``) is kept as their reference.
 
 Sign conventions: the eta-beamsplitter follows the Heisenberg relations
 s_Ho = sqrt(eta) s_H + sqrt(1-eta) m_H, m_Ho = sqrt(1-eta) s_H -
@@ -34,8 +35,9 @@ from .hilbert import NORM_ATOL, Z_BASIS, PureState
 A_MAX = math.sqrt(3.0) / 2.0
 A_MAX_ATOL = 1e-12  # strength a accepted up to A_MAX + A_MAX_ATOL, then clipped to A_MAX
 UNITARY_ATOL = 1e-12  # largest entry of |U^dag U - 1| accepted as unitary
-CIRCUIT_CACHE_SIZE = 8  # validated gates kept, one per (eta, include_signal_loss)
-_SIG, _MET, _DUMP = slice(0, 2), slice(2, 4), slice(4, None)  # the gate's signal, meter, dump modes
+CIRCUIT_CACHE_SIZE = 8  # pair maps of checked gates kept, one per (eta, include_signal_loss)
+_SIG, _MET = slice(0, 2), slice(2, 4)  # the gate's signal and meter modes
+_NOT_QUBITS = "signal and meter must be single-photon polarization qubits"
 
 # polarization qubit convention: index 0 = H, 1 = V
 POL_LABELS = ("H", "V")
@@ -88,8 +90,7 @@ class LinearCircuit:
         m = self.layout.n_modes
         if u.shape != (m, m):
             raise PhotonicsError(f"mode matrix shape {u.shape}, expected ({m},{m})")
-        if not (np.abs(u.conj().T @ u - np.eye(m)) <= UNITARY_ATOL).all():  # NaN fails too
-            raise PhotonicsError("mode matrix is not unitary")
+        _check_unitary(u)
         u.setflags(write=False)
         object.__setattr__(self, "u", u)
 
@@ -181,33 +182,77 @@ def meter_prep_strength(a: float) -> PureState:
 HWP = np.array([[1, 1], [1, -1]]) / math.sqrt(2.0)
 
 
+def _check_eta(eta) -> float:
+    if not (0.0 < eta < 1.0):
+        raise PhotonicsError(f"eta must lie in (0, 1), got {eta}")
+    return float(eta)
+
+
+def _check_unitary(u: np.ndarray) -> None:
+    eye = _IDENTITY[len(u)] if len(u) in _IDENTITY else np.eye(len(u))
+    if not (np.abs(u.conj().T @ u - eye) <= UNITARY_ATOL).all():  # NaN fails too
+        raise PhotonicsError("mode matrix is not unitary")
+
+
+def _gate_constants(loss: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The gate's U with the eta-BS block left at 0, on the modes s_H 0, s_V 1, m_H 2,
+    m_V 3 (dump_s 4), and the (4, n^2) weights that sum |Phi[y, z]|^2 into success,
+    both_in_signal, both_in_meter and dump; each pattern appears as (y, z) and (z, y)."""
+    n = 4 + loss
+    u = np.diag([0.0, 1.0, 0.0, 1.0, 1.0][:n]).astype(complex)
+    if loss:
+        u[1:5:3, 1:5:3] = bs_matrix(1.0 / 3.0)
+    u[_MET] = HWP @ u[_MET]
+    c = [0, 0, 1, 1, 3][:n]  # mode class: signal 0, meter 1, dump 3
+    pair = [cy + cz for cy in c for cz in c]  # 1 success, 0 and 2 both in one arm, >= 3 dump
+    return u, 0.5 * np.array([[p == 1, p == 0, p == 2, p >= 3] for p in pair], dtype=float).T
+
+
+def _mode_unitary(eta: float, loss: bool) -> np.ndarray:
+    # the eta-BS rows (r, t) of s_H and (t, -r) of m_H, the latter split by the HWP
+    r, t = math.sqrt(eta), math.sqrt(1.0 - eta)
+    u = _GATE[loss][0].copy()
+    u[0, 0], u[0, 2] = r, t
+    u[2:4, 0], u[2:4, 2] = HWP[0, 0] * t, HWP[0, 0] * -r
+    return u
+
+
+_GATE = {loss: _gate_constants(loss) for loss in (False, True)}
+_IDENTITY = {n: np.eye(n) for n in (4, 5)}
+
+
 def build_qnd_circuit(
     eta: float, include_signal_loss: bool = False
 ) -> tuple[ModeLayout, LinearCircuit]:
     """Assemble the gate: eta-BS on the horizontal rails, optional 1/3-
-    transmittance balancing loss on s_V, and the output HWP on the meter.
-    Built and validated once per (eta, include_signal_loss), then reused."""
-    if not (0.0 < eta < 1.0):
-        raise PhotonicsError(f"eta must lie in (0, 1), got {eta}")
-    return _qnd_circuit(float(eta), bool(include_signal_loss))
-
-
-@functools.lru_cache(maxsize=CIRCUIT_CACHE_SIZE)
-def _qnd_circuit(eta: float, include_signal_loss: bool) -> tuple[ModeLayout, LinearCircuit]:
-    # U is written block by block on the modes s_H 0, s_V 1, m_H 2, m_V 3, dump_s 4
-    names = ("s_H", "s_V", "m_H", "m_V") + (("dump_s",) if include_signal_loss else ())
+    transmittance balancing loss on s_V, and the output HWP on the meter."""
+    eta, loss = _check_eta(eta), bool(include_signal_loss)
+    names = ("s_H", "s_V", "m_H", "m_V") + (("dump_s",) if loss else ())
     elements = [{"kind": "beamsplitter", "modes": ("s_H", "m_H"), "eta": eta}]
-    u = np.eye(len(names), dtype=complex)
-    u[0:3:2, 0:3:2] = bs_matrix(eta)
-    if include_signal_loss:
+    if loss:
         elements.append(
             {"kind": "loss_beamsplitter", "modes": ("s_V", "dump_s"), "transmittance": 1.0 / 3.0}
         )
-        u[1:5:3, 1:5:3] = bs_matrix(1.0 / 3.0)
     elements.append({"kind": "half_wave_plate", "modes": ("m_H", "m_V"), "angle_deg": 22.5})
-    u[_MET] = HWP @ u[_MET]
     layout = ModeLayout(names)
-    return layout, LinearCircuit(layout, u, tuple(tuple(e.items()) for e in elements))
+    elements = tuple(tuple(e.items()) for e in elements)
+    return layout, LinearCircuit(layout, _mode_unitary(eta, loss), elements)
+
+
+@functools.lru_cache(maxsize=CIRCUIT_CACHE_SIZE)
+def _pair_map(eta: float, loss: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, its heralded rows as [meter k, signal i', signal i, meter j], class
+    weights) of one unitarity-checked gate. A[y n + z, 2 i + j] = U[y, i] U[z, 2 + j]
+    + U[z, i] U[y, 2 + j] sends the input amplitudes s_i m_j to Phi[y, z], the
+    amplitude of one photon in each of the modes y != z, sqrt(2) times that of two in y = z."""
+    u = _mode_unitary(eta, loss)
+    _check_unitary(u)
+    t = u[:, None, _SIG, None] * u[None, :, None, _MET]  # t[y, z, i, j] = U[y, i] U[z, 2 + j]
+    t = t + t.transpose(1, 0, 2, 3)
+    herald = t[_SIG, _MET].transpose(1, 0, 2, 3).copy()
+    for arr in (t, herald):
+        arr.setflags(write=False)
+    return t.reshape(-1, 4), herald, _GATE[loss][1]
 
 
 def lift_two_photon(circuit: LinearCircuit, state: FockState) -> FockState:
@@ -282,19 +327,6 @@ class CoincidenceResult:
         }
 
 
-def _output_amplitudes(circuit: LinearCircuit, signal: np.ndarray, meter: PureState) -> np.ndarray:
-    """Phi = U_s (signal meter^T) U_m^T + transpose, batched over ``signal[..., :]``.
-
-    Phi[y, z] is the amplitude of one photon in each of the output modes
-    y != z, and sqrt(2) times that of two photons in y = z.
-    """
-    if signal.shape[-1] != 2 or meter.dim != 2:
-        raise PhotonicsError("signal and meter must be single-photon polarization qubits")
-    u = circuit.u
-    t = (signal @ u[:, _SIG].T)[..., :, None] * (u[:, _MET] @ meter.amps)
-    return t + np.swapaxes(t, -1, -2)
-
-
 def heralded_kraus(
     meter: PureState, eta: float = 1.0 / 3.0, include_signal_loss: bool = False
 ) -> np.ndarray:
@@ -305,9 +337,10 @@ def heralded_kraus(
     sum_j meter_j perm U[(s_i', m_k), (s_i, m_j)]. The stack is trace-
     decreasing: sum_k |M_k psi|^2 is the heralding probability.
     """
-    _, circuit = build_qnd_circuit(eta, include_signal_loss)
-    phi = _output_amplitudes(circuit, np.eye(2), meter)
-    return phi[:, _SIG, _MET].transpose(2, 1, 0)
+    _, herald, _ = _pair_map(_check_eta(eta), bool(include_signal_loss))
+    if meter.dim != 2:
+        raise PhotonicsError(_NOT_QUBITS)
+    return herald @ meter.amps
 
 
 def run_gate(
@@ -321,20 +354,17 @@ def run_gate(
     Success: exactly one photon among the signal outputs, exactly one
     among the meter outputs, and none in any dump mode.
     """
-    _, circuit = build_qnd_circuit(eta, include_signal_loss)
-    phi = _output_amplitudes(circuit, signal_pol.amps, meter_pol)
-    # summed over ordered mode pairs, p counts each two-photon pattern once
-    p = np.abs(phi) ** 2 / 2.0
-    joint = phi[_SIG, _MET]
-    success = float(2.0 * p[_SIG, _MET].sum())
-    failures = {
-        "both_in_signal": float(p[_SIG, _SIG].sum()),
-        "both_in_meter": float(p[_MET, _MET].sum()),
-        "dump": float(2.0 * p[_DUMP].sum() - p[_DUMP, _DUMP].sum()),
-    }
+    loss = bool(include_signal_loss)
+    a, _, weights = _pair_map(_check_eta(eta), loss)
+    if signal_pol.dim != 2 or meter_pol.dim != 2:
+        raise PhotonicsError(_NOT_QUBITS)
+    phi = a @ (signal_pol.amps[:, None] * meter_pol.amps).ravel()
+    success, both_in_signal, both_in_meter, dump = (weights @ np.abs(phi) ** 2).tolist()
+    failures = {"both_in_signal": both_in_signal, "both_in_meter": both_in_meter, "dump": dump}
     conditional = None
     if success > ZERO_BRANCH:
-        conditional = PureState((2, 2), joint.ravel() / math.sqrt(success))
+        joint = phi.reshape(4 + loss, -1)[_SIG, _MET]
+        conditional = PureState((2, 2), joint / math.sqrt(success))
     return CoincidenceResult(success, conditional, failures)
 
 
@@ -359,8 +389,8 @@ def strength_distinguishability(a: float, eta: float = 1.0 / 3.0):
     H/V basis: K from the heralded likelihood L that the meter readout
     matches the signal output, K_bar from diagonal/antidiagonal signals
     read out in that basis. The balancing loss is always included in this
-    regime. Also returns the equivalent CNOT strength gamma_eff = sqrt(L).
+    regime. Also returns the equivalent CNOT strength gamma_eff = sqrt(L), L = (K + 1)/2.
     """
     m = heralded_kraus(meter_prep_strength(a), eta, include_signal_loss=True)
-    joint, pair = metrics.kraus_figures(m, Z_BASIS)
-    return pair, math.sqrt(float(np.trace(joint.q)))
+    _, pair = metrics.kraus_figures(m, Z_BASIS)
+    return pair, math.sqrt((pair.k + 1.0) / 2.0)

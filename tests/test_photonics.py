@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qndsim import cnot_qnd as cq
 from qndsim import hilbert as hs
+from qndsim import metrics
 from qndsim import photonics as ph
 from qndsim.hilbert import PureState
 from qndsim.photonics import (
@@ -195,6 +196,29 @@ def test_memoized_gate_hands_out_nothing_writable_it_keeps():
     kept = kraus.copy()
     kraus[...] = 0.0
     np.testing.assert_array_equal(heralded_kraus(meter_prep(ETA)), kept)
+
+
+def test_gate_cache_eviction_changes_no_value():
+    # more distinct eta than the cache holds, revisited after their entries are evicted
+    sig, rng = PureState.from_amplitudes([0.6, 0.8j]), np.random.default_rng(5)
+    etas = rng.uniform(0.05, 0.95, ph.CIRCUIT_CACHE_SIZE + 5).tolist()
+    order = etas + etas[::-1] + etas[::3] + etas
+    ph._pair_map.cache_clear()
+    first = {}
+    for step, eta in enumerate(order):
+        loss = etas.index(eta) % 2 == 1
+        meter = meter_prep(eta)
+        if step % 2:  # each of the two calls meets the cache first on every other step
+            kraus, res = heralded_kraus(meter, eta, loss), run_gate(sig, meter, eta, loss)
+        else:
+            res, kraus = run_gate(sig, meter, eta, loss), heralded_kraus(meter, eta, loss)
+        got = (res.success_prob, res.failure_breakdown, res.conditional_joint.amps.tolist())
+        got += (kraus.tolist(),)
+        assert first.setdefault((eta, loss), got) == got
+        kraus[...] = 7.0  # the caller's copy only
+    info = ph._pair_map.cache_info()
+    assert info.currsize == ph.CIRCUIT_CACHE_SIZE and info.hits >= len(order)
+    assert info.misses > len(etas)  # some gates were evicted and built again
 
 
 def test_circuit_json():
@@ -426,3 +450,47 @@ def test_meter_off_is_uncorrelated():
     np.testing.assert_allclose(
         (np.abs(joint_v) ** 2).sum(axis=0), p_meter, atol=1e-10
     )
+
+
+# ------------------------------------------- the heralded gate as an instrument
+
+
+def closed_form_strength(a):
+    """(heralding probability s(a), gamma_eff(a)) of the eta = 1/3 gate with the loss."""
+    s = (3.0 - 2.0 * a * a) / 9.0
+    return s, (math.sqrt(3.0) * math.sqrt(1.0 - a * a) + a) / math.sqrt(2.0 * (3.0 - 2.0 * a * a))
+
+
+def test_heralded_kraus_is_the_scaled_cnot_instrument():
+    rng = np.random.default_rng(41)
+    grid = np.concatenate([np.linspace(0.0, ph.A_MAX, 401), rng.uniform(0.0, ph.A_MAX, 200)])
+    sign = np.array([1.0, -1.0])[:, None, None]
+    for a in grid.tolist():
+        s, gamma_eff = closed_form_strength(a)
+        expected = sign * math.sqrt(s) * cq.kraus(cq.MeterPrep(gamma_eff))
+        m = heralded_kraus(meter_prep_strength(a), ETA, include_signal_loss=True)
+        assert np.abs(m - expected).max() <= 1e-14
+        assert abs(ph.strength_distinguishability(a)[1] - gamma_eff) <= 1e-15
+
+
+@pytest.mark.parametrize("loss, success", [(False, [1 / 6, 1 / 2]), (True, [1 / 6, 1 / 6])])
+def test_heralding_operator_at_one_third(loss, success):
+    m = heralded_kraus(meter_prep(ETA), ETA, include_signal_loss=loss)
+    effect = np.einsum("kji,kjl->il", m.conj(), m)  # sum_k M_k^dag M_k
+    np.testing.assert_allclose(effect, np.diag(success), rtol=0, atol=1e-15)
+
+
+def test_englert_bound_on_random_heralded_stacks():
+    rng = np.random.default_rng(43)
+    lhs = []
+    for _ in range(4000):
+        eta, loss = float(rng.uniform(0.0, 1.0)), bool(rng.integers(2))
+        if rng.integers(2):
+            meter = meter_prep(eta)
+        else:
+            meter = meter_prep_strength(float(rng.uniform(0.0, ph.A_MAX)))
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        _, pair = metrics.kraus_figures(heralded_kraus(meter, eta, loss), hs.BasisSpec(q))
+        lhs.append(pair.englert_lhs)
+    assert max(lhs) <= 1.0 + 1e-12
+    assert min(lhs) < 0.01  # far from saturation, not only near it
