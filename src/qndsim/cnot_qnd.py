@@ -15,7 +15,7 @@ strengths is one more array axis, scored in one pass (``strength_sweep``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,13 +34,13 @@ class StrengthError(ValueError):
 
 
 def _checked_gammas(gammas) -> np.ndarray:
-    """``gammas`` as an array; StrengthError naming the first value outside
-    [1/sqrt(2), 1] (within GAMMA_ATOL), NaN included."""
+    """``gammas`` as an array clipped to [1/sqrt(2), 1]; StrengthError naming
+    the first value outside that range by more than GAMMA_ATOL, NaN included."""
     g = np.asarray(gammas)
     ok = (GAMMA_MIN - GAMMA_ATOL <= g) & (g <= 1.0 + GAMMA_ATOL)
     if not ok.all():
         raise StrengthError(f"gamma out of range [{GAMMA_MIN:.4f}, 1]: {g[~ok][0]}")
-    return g
+    return np.clip(g, GAMMA_MIN, 1.0)
 
 
 @dataclass(frozen=True)
@@ -97,21 +97,11 @@ def _kraus_stacks(gammas, basis: BasisSpec) -> np.ndarray:
     if basis.dim != 2:
         raise hs.HilbertError("observable basis must be a qubit basis")
     g = _checked_gammas(gammas)
-    c = np.stack([g, np.sqrt(np.maximum(0.0, 1.0 - g**2))], axis=-1)
-    c = np.stack([c, c[..., ::-1]], axis=-2)  # c[..., k, :] = (c_k, c_{1-k})
+    c = np.empty(g.shape + (4,))  # c[..., k, :] = (c_k, c_{1-k}), flattened
+    c[..., ::3] = g[..., None]
+    c[..., 1:3] = np.sqrt(np.maximum(0.0, 1.0 - g**2))[..., None]
     v = basis.vectors
-    return metrics._matmul_last(v * c[..., None, :], v.conj().T)
-
-
-def _statistics(m: np.ndarray, basis: BasisSpec, amps: np.ndarray):
-    """Signal branches and (p_in, p_m, p_out) of inputs ``amps`` (n_inputs, 2)
-    under stacks ``m`` (..., 2, 2, 2); all but p_in lead with the axes of ``m``."""
-    branches = np.moveaxis(metrics._matmul_last(m, amps.T), -1, -3)
-    to_basis = basis.vectors.conj()
-    p_in = np.abs(amps @ to_basis) ** 2
-    p_m = (np.abs(branches) ** 2).sum(axis=-1)
-    p_out = (np.abs(metrics._matmul_last(branches, to_basis)) ** 2).sum(axis=-2)
-    return branches, p_in, p_m, p_out
+    return metrics._matmul_last(v * c.reshape(g.shape + (2, 1, 2)), v.conj().T)
 
 
 def run(signal: PureState, prep: MeterPrep, basis: BasisSpec = hs.Z_BASIS) -> QNDOutcome:
@@ -124,8 +114,11 @@ def run(signal: PureState, prep: MeterPrep, basis: BasisSpec = hs.Z_BASIS) -> QN
     """
     if signal.dim != 2:
         raise hs.HilbertError("signal must be a single qubit")
-    stats = _statistics(kraus(prep, basis), basis, signal.amps[None])
-    branches, p_in, p_m, p_out = (x[0] for x in stats)
+    m = kraus(prep, basis)
+    branches = m @ signal.amps  # branches[k] = M_k |signal>
+    _, _, probed = metrics._read(m, basis, signal.amps[None])
+    p_m, p_out = probed[:, 0]
+    p_in = np.abs(signal.amps @ basis.vectors.conj()) ** 2
     conditional = []
     for k in range(2):
         if p_m[k] < ZERO_BRANCH:
@@ -156,18 +149,19 @@ def pauli_ensemble() -> list[tuple[str, PureState]]:
 
 
 def _score(gammas, basis: BasisSpec, ensemble):
-    """Per-input F_M and F_QND (gammas.shape + (n_inputs,)), then F_QSP, the
-    pair (K, K_bar) and raw C^2 (gammas.shape), in one pass checked once."""
+    """Per-input (F_M, F_QND), stacked as (2,) + gammas.shape + (n_inputs,),
+    then F_QSP, the pair (K, K_bar) and raw C^2 (gammas.shape), all read
+    from one Born table and checked once."""
     if len(ensemble) == 0:
         raise ValueError("ensemble must be nonempty")
     m = _kraus_stacks(gammas, basis)
     amps = np.array([state.amps for _, state in ensemble])
-    _, p_in, p_m, p_out = _statistics(m, basis, amps)
-    joint, pair = metrics.kraus_figures(m, basis)
+    joint, pair, probed = metrics._read(m, basis, amps)
+    p_in = np.abs(amps @ basis.vectors.conj()) ** 2
+    q = joint.q
     return (
-        metrics.classical_fidelities(p_in, p_m),
-        metrics.classical_fidelities(p_in, p_out),
-        np.trace(joint.q, axis1=-2, axis2=-1),
+        metrics.classical_fidelities(p_in, probed),
+        q[..., 0, 0] + q[..., 1, 1],
         pair,
         metrics.correlation_c2(joint),
     )
@@ -190,7 +184,7 @@ def characterize(
     strengths (the raw form equals the square of the shortcut here).
     """
     ensemble = pauli_ensemble() if ensemble is None else ensemble
-    f_m, f_qnd, f_qsp, pair, c2_raw = _score(prep.gamma, basis, ensemble)
+    (f_m, f_qnd), f_qsp, pair, c2_raw = _score(prep.gamma, basis, ensemble)
     report = metrics.FidelityReport(
         f_m=float(f_m.min()),
         f_qnd=float(f_qnd.min()),
@@ -219,17 +213,7 @@ class SweepRow:
         return {f: getattr(self, f) for f in SWEEP_FIELDS}
 
 
-SWEEP_FIELDS = (
-    "gamma",
-    "f_m",
-    "f_qnd",
-    "f_qsp",
-    "k",
-    "k_bar",
-    "englert",
-    "c2_raw",
-    "c2_shortcut",
-)
+SWEEP_FIELDS = tuple(f.name for f in fields(SweepRow))  # the CSV and JSON columns, in order
 
 CSV_HEADER = ",".join(SWEEP_FIELDS)
 
@@ -243,10 +227,16 @@ def strength_sweep(gammas, basis: BasisSpec = hs.Z_BASIS, ensemble=None) -> list
     if g.size == 0:
         return []
     ensemble = pauli_ensemble() if ensemble is None else ensemble
-    f_m, f_qnd, f_qsp, pair, c2_raw = _score(g, basis, ensemble)
-    columns = (g, f_m.min(axis=-1), f_qnd.min(axis=-1), f_qsp, pair.k, pair.k_bar,
-               pair.englert_lhs, c2_raw, metrics.c2_from_fqsp(f_qsp))  # SWEEP_FIELDS order
-    return [SweepRow(*row) for row in zip(*(c.tolist() for c in columns))]
+    f, f_qsp, pair, c2_raw = _score(g, basis, ensemble)
+    f_m, f_qnd = f.min(axis=-1)
+    table = np.stack((g, f_m, f_qnd, f_qsp, pair.k, pair.k_bar, pair.englert_lhs, c2_raw,
+                      metrics.c2_from_fqsp(f_qsp)), axis=-1).tolist()  # SWEEP_FIELDS order
+    # SweepRow(*values) without the frozen __init__, which sets each field
+    # through object.__setattr__: the same rows in about half the time
+    rows = [object.__new__(SweepRow) for _ in table]
+    for row, values in zip(rows, table):
+        row.__dict__.update(zip(SWEEP_FIELDS, values))
+    return rows
 
 
 def sweep_to_csv(rows) -> str:

@@ -9,17 +9,18 @@ closed-form bridges to continuous-variable transfer coefficients.
 
 The CV conditional variance V_{s|m} and the uncertainty product
 V_{s|m} * V_conj >= 1 require Gaussian-state simulation and are out of
-scope here; only the closed-form fidelity bridges are provided.
+scope here; the two fidelity bridges are untested transcriptions of the
+paper's CV section, which no independent CV model checks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import X_BASIS, BasisSpec, ProbDist, checked_probabilities
+from .hilbert import X_BASIS, BasisSpec, ProbDist, _sum_last, checked_probabilities
 
 SATURATION_ATOL = 1e-9
 RANGE_ATOL = 1e-12  # a figure of merit accepted this far outside its range, e.g. [0, 1]
@@ -72,7 +73,7 @@ def classical_fidelity(p, q) -> float:
 def classical_fidelities(p, q) -> np.ndarray:
     """F(p, q) along the last axis of stacks of distributions; each vector is
     checked as a ``ProbDist`` is, and F in [0, 1], once per stack."""
-    f = np.sum(np.sqrt(checked_probabilities(p) * checked_probabilities(q)), axis=-1) ** 2
+    f = _sum_last(np.sqrt(checked_probabilities(p) * checked_probabilities(q))) ** 2
     _check_range("fidelity", f, 0.0)
     return f
 
@@ -187,13 +188,13 @@ def correlation_c2(joint: JointDist, subtract_mean: bool = False) -> float:
     A batched ``joint`` gives one value per distribution.
     """
     a, b, q = joint.eigvals_a, joint.eigvals_b, joint.q
-    pa = q.sum(axis=-1)
-    pb = q.sum(axis=-2)
+    pa = _sum_last(q)
+    pb = _sum_last(q.swapaxes(-2, -1))
     if subtract_mean:
-        a = a - (pa * a).sum(axis=-1)[..., None]
-        b = b - (pb * b).sum(axis=-1)[..., None]
-    corr = ((a[..., :, None] * q).sum(axis=-2) * b).sum(axis=-1)
-    denom = (pa * a**2).sum(axis=-1) * (pb * b**2).sum(axis=-1)
+        a = a - _sum_last(pa * a)[..., None]
+        b = b - _sum_last(pb * b)[..., None]
+    corr = _sum_last(_sum_last((a[..., :, None] * q).swapaxes(-2, -1)) * b)
+    denom = _sum_last(pa * a**2) * _sum_last(pb * b**2)
     if np.any(denom < DEGENERATE_MOMENT):
         raise MetricsError("degenerate observable: zero second moment")
     return corr**2 / denom
@@ -209,18 +210,38 @@ def kraus_figures(m: np.ndarray, basis: BasisSpec) -> tuple[JointDist, Distingui
     mixed input read in ``basis``; its trace is F_QSP = L. K_bar uses the
     conjugate eigenstates, the columns of ``basis.vectors @ X_BASIS.vectors``.
     """
+    return _read(m, basis)[:2]
 
-    def conditioned(v):
-        # w[..., k, j, i] = P(meter k, output v_j | input v_i, success)
-        vhm = _matmul_last(m.swapaxes(-2, -1), v.conj()).swapaxes(-2, -1)  # (M^T V^*)^T
-        w = np.abs(_matmul_last(vhm, v)) ** 2
-        return w / w.sum(axis=(-3, -2), keepdims=True)
 
-    q = 0.5 * conditioned(basis.vectors).sum(axis=-1).swapaxes(-2, -1)
-    hits = conditioned(basis.vectors @ X_BASIS.vectors).sum(axis=-3)
-    p_c = 0.5 * np.trace(hits, axis1=-2, axis2=-1)
+def _read(m: np.ndarray, basis: BasisSpec, probes: np.ndarray | None = None):
+    """``kraus_figures`` of ``m`` and the unconditioned (p_m, p_out) of the
+    rows of ``probes``, stacked as (2, ...m's batch, n, 2), or None.
+
+    All come from one Born table w[..., k, j, i] = |b_j^dag M_k a_i|^2 over
+    the outputs B = [V | V X] and the inputs A = [B | probes^T]; every sum
+    in it is an in-order slice add.
+    """
+    v = basis.vectors
+    b = np.concatenate((v, v @ X_BASIS.vectors), axis=1)
+    a = b if probes is None else np.concatenate((b, probes.T), axis=1)
+    bhm = _matmul_last(m.swapaxes(-2, -1), b.conj()).swapaxes(-2, -1)  # (M^T B^*)^T
+    w = np.abs(_matmul_last(bhm, a)) ** 2
+    w = w.reshape(w.shape[:-2] + (2, 2, a.shape[1]))  # [..., k, block, j, i]
+    # each basis input conditioned on success: divided by its block's sum over (k, j),
+    # added in the order of numpy's reduction, ((w00 + w01) + w10) + w11
+    t = w[..., :4]
+    s = t[..., 0, :, 0, :] + t[..., 0, :, 1, :] + t[..., 1, :, 0, :] + t[..., 1, :, 1, :]  # [..., block, i]
+    c = t / s[..., None, :, None, :]
+    q = 0.5 * (c[..., 0, :, 0] + c[..., 0, :, 1]).swapaxes(-2, -1)  # maximally mixed input over V
+    hits = c[..., 0, 1, :, 2:] + c[..., 1, 1, :, 2:]  # [..., j, i] over the conjugate block
+    p_c = 0.5 * (hits[..., 0, 0] + hits[..., 1, 1])
     joint = JointDist(q, eigvals_a=_PLUS_MINUS, eigvals_b=_PLUS_MINUS)
-    return joint, distinguishability(np.trace(q, axis1=-2, axis2=-1), p_c)
+    pair = distinguishability(q[..., 0, 0] + q[..., 1, 1], p_c)
+    if probes is None:
+        return joint, pair, None
+    u = w[..., 0, :, 4:]  # [..., k, j, probe] over the V outputs
+    probed = np.stack((u[..., 0, :] + u[..., 1, :], u[..., 0, :, :] + u[..., 1, :, :]))
+    return joint, pair, probed.swapaxes(-2, -1)
 
 
 def c2_from_fqsp(f_qsp: float) -> float:
@@ -237,7 +258,8 @@ def fm_from_tm(t_m: float) -> float:
 
     F_M = sqrt(2 T_M / (1 + T_M)), monotone increasing in T_M. The value
     is a fidelity (<= 1) for T_M <= 1; quantum-enhanced transfer T > 1
-    pushes the expression above 1 and is reported as-is.
+    pushes the expression above 1 and is reported as-is. Untested: a
+    transcription of the paper's CV section.
     """
     if t_m < 0:
         raise MetricsError(f"transfer coefficient must be >= 0, got {t_m}")
@@ -245,37 +267,9 @@ def fm_from_tm(t_m: float) -> float:
 
 
 def fqnd_from_ts(t_s: float) -> float:
-    """QND fidelity from the signal transfer coefficient: sqrt(2 T_S/(1+T_S))."""
+    """QND fidelity from the signal transfer coefficient: sqrt(2 T_S/(1+T_S));
+    untested, a transcription of the paper's CV section."""
     if t_s < 0:
         raise MetricsError(f"transfer coefficient must be >= 0, got {t_s}")
     return math.sqrt(2.0 * t_s / (1.0 + t_s))
 
-
-@dataclass(frozen=True)
-class CVBridge:
-    """Transfer coefficients with their fidelity equivalents and C^2."""
-
-    t_m: float
-    t_s: float
-    c2: float = field(default=float("nan"))
-
-    def __post_init__(self):
-        if self.t_m < 0 or self.t_s < 0:
-            raise MetricsError("transfer coefficients must be >= 0")
-
-    @property
-    def f_m(self) -> float:
-        return fm_from_tm(self.t_m)
-
-    @property
-    def f_qnd(self) -> float:
-        return fqnd_from_ts(self.t_s)
-
-    def to_json(self) -> dict:
-        return {
-            "t_m": self.t_m,
-            "t_s": self.t_s,
-            "f_m": self.f_m,
-            "f_qnd": self.f_qnd,
-            "c2": self.c2,
-        }

@@ -214,6 +214,7 @@ def test_rerun_from_embedded_config(capsys, tmp_path):
         (["fidelity", "--p-in", "90,10", "--p-m", "88,12", "--p-out", "85,15"], None),
         (["cnot-sweep", "--gamma-points", "3"], None),
         (["cnot-sweep", "--gamma", "0.9"], None),
+        (["cnot-sweep", "--gamma", "1.0000000000005"], None),
         (["optics", "--signal", "V"], None),
         (["optics", "--alpha", "0.6", "--beta", "0.8", "--loss"], None),
         (["optics", "--strength-a", "0.4"], None),

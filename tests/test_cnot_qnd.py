@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -278,6 +279,31 @@ def test_sweep_rows_match_one_point_sweeps_and_characterize():
             [row.f_m, row.f_qnd, row.f_qsp, row.k, row.k_bar, row.englert, row.c2_raw, row.c2_shortcut],
             headline, rtol=0, atol=1e-12,
         )
+
+
+def test_sweep_rows_are_frozen_sweep_rows():
+    rows = cq.strength_sweep([S, 0.8, 0.93, 1.0], hs.Y_BASIS)
+    for row in rows:
+        values = [getattr(row, f) for f in cq.SWEEP_FIELDS]
+        assert type(row) is cq.SweepRow
+        assert row == cq.SweepRow(*values)
+        assert vars(row) == vars(cq.SweepRow(*values))
+        assert list(vars(row)) == list(cq.SWEEP_FIELDS)
+        assert all(type(v) is float for v in values)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.f_m = 0.0
+
+
+def test_gamma_just_above_one_is_scored_as_one():
+    over = 1.0 + 5e-13  # inside GAMMA_ATOL, so accepted
+    basis = BasisSpec(random_unitary2(np.random.default_rng(29)))
+    for b in (hs.Z_BASIS, hs.X_BASIS, basis):
+        row, = cq.strength_sweep([over], b)
+        assert row == dataclasses.replace(cq.strength_sweep([1.0], b)[0], gamma=over)
+        report, pair, c2 = cq.characterize(cq.MeterPrep(over), b)
+        assert (report, pair, c2) == cq.characterize(cq.MeterPrep(1.0), b)
+    under = cq.GAMMA_MIN - 5e-13
+    assert cq.strength_sweep([under])[0] == dataclasses.replace(cq.strength_sweep([cq.GAMMA_MIN])[0], gamma=under)
 
 
 def test_sweep_rejects_bad_gamma_naming_it():

@@ -168,13 +168,6 @@ def test_cv_bridges():
         fqnd_from_ts(-1.0)
 
 
-def test_cv_bridge_dataclass():
-    b = metrics.CVBridge(t_m=1.0, t_s=1 / 3, c2=0.5)
-    assert b.f_m == pytest.approx(1.0)
-    assert b.f_qnd == pytest.approx(math.sqrt(0.5))
-    assert b.to_json()["c2"] == 0.5
-
-
 # ------------------------------------------------------------------ properties
 
 
@@ -282,3 +275,48 @@ def test_batched_reader_matches_per_stack_calls_and_einsum_reference():
     q, k, k_bar, ref_c2 = _reference_figures(m, basis)
     for got, want in [(joint.q, q), (pair.k, k), (pair.k_bar, k_bar), (c2[False], ref_c2[False]), (c2[True], ref_c2[True])]:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+def _reference_probe_statistics(m, basis, probes):
+    """p_in, p_m and p_out of the input states ``probes`` (rows) under the
+    stacks ``m``, by explicit einsum contractions: p_m from the computational
+    components of the branches M_k a_i, p_out from their basis components."""
+    branches = np.einsum("...kst,it->...iks", m, probes)
+    p_m = np.einsum("...iks,...iks->...ik", branches, branches.conj()).real
+    p_out = np.einsum("...ikj->...ij", np.abs(np.einsum("sj,...iks->...ikj", basis.vectors.conj(), branches)) ** 2)
+    p_in = np.abs(np.einsum("sj,is->ij", basis.vectors.conj(), probes)) ** 2
+    return p_in, p_m, p_out
+
+
+def _reference_fidelity(p, q):
+    return np.einsum("...i->...", np.sqrt(p * q)) ** 2
+
+
+def test_reader_probe_columns_match_einsum_reference():
+    from qndsim import cnot_qnd
+    from qndsim.hilbert import PureState
+
+    m, _ = _reader_stacks()  # heralded (trace-decreasing) and CNOT stacks
+    rng = np.random.default_rng(73)
+    probes = rng.normal(size=(7, 2)) + 1j * rng.normal(size=(7, 2))
+    probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+    ensemble = [(f"r{i}", PureState((2,), a)) for i, a in enumerate(probes)]
+    gammas = rng.uniform(cnot_qnd.GAMMA_MIN, 1.0, 9)
+    for _ in range(4):
+        basis = BasisSpec(np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0])
+        p_in, p_m, p_out = _reference_probe_statistics(m, basis, probes)
+        _, _, probed = metrics._read(m, basis, probes)
+        assert probed.shape == (2, 3, 4, 7, 2)
+        np.testing.assert_allclose(probed[0], p_m, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(probed[1], p_out, rtol=0, atol=1e-14)
+        # F_M and F_QND of each input conditioned on its success probability
+        success = p_m.sum(axis=-1, keepdims=True)
+        f = metrics.classical_fidelities(p_in, probed / success)
+        np.testing.assert_allclose(f[0], _reference_fidelity(p_in, p_m / success), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(f[1], _reference_fidelity(p_in, p_out / success), rtol=0, atol=1e-14)
+        # the CNOT scorer, against the reference on its per-strength stacks
+        stacks = np.array([cnot_qnd.kraus(cnot_qnd.MeterPrep(g), basis) for g in gammas])
+        p_in, p_m, p_out = _reference_probe_statistics(stacks, basis, probes)
+        f_m, f_qnd = cnot_qnd._score(gammas, basis, ensemble)[0]
+        np.testing.assert_allclose(f_m, _reference_fidelity(p_in, p_m), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(f_qnd, _reference_fidelity(p_in, p_out), rtol=0, atol=1e-14)
