@@ -163,18 +163,34 @@ def _available_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+def _word_bound(p: float) -> int:
+    """Bound B on 64-bit words x with (x >> 11) * 2**-53 < p exactly when x < B."""
+    return min(math.ceil(p * 2.0**53), 1 << 53) << 11 if p > 0 else 0
+
+
+def _below(words: np.ndarray, bound: int, out: np.ndarray) -> np.ndarray:
+    """``words < bound`` into ``out``; bounds 0 and 2**64 fill it without a compare."""
+    if 0 < bound < 1 << 64:
+        return np.less(words, np.uint64(bound), out=out)
+    out.fill(bound > 0)
+    return out
+
+
 def _count_span(seed: int, start: int, stop: int, p_k1: float, p0: float, p1: float) -> tuple[int, int]:
-    """(retained, retained with meter reading k = 1) among shots [start, stop), ``start`` even."""
-    rng = np.random.Generator(np.random.Philox(seed).advance(start // 2))  # 2 words a shot, 4 a block
-    draws = np.empty((min(CHUNK_SHOTS, stop - start), 2))
-    ks, hits = np.empty((2, len(draws)), bool)
+    """(retained, retained with meter reading k = 1) among shots [start, stop), ``start`` even;
+    shot i's draws are Philox words 2i and 2i + 1, and each u < p is counted as x < ``_word_bound(p)``."""
+    bits = np.random.Philox(seed).advance(start // 2)  # 2 words a shot, 4 a block
+    b_k1, b0, b1 = map(_word_bound, (p_k1, p0, p1))
+    ks, hits = np.empty((2, min(CHUNK_SHOTS, stop - start)), bool)
     n0 = n1 = 0
     for lo in range(start, stop, CHUNK_SHOTS):
-        d, k, hit = rng.random(out=draws[: stop - lo]), ks[: stop - lo], hits[: stop - lo]
-        np.less(d[:, 0], p_k1, out=k)  # meter reading k; kept if d[:, 1] < P(+|k), p0 or p1
-        n1 += np.count_nonzero(np.logical_and(np.less(d[:, 1], p1, out=hit), k, out=hit))
+        k, hit = ks[: stop - lo], hits[: stop - lo]
+        x = bits.random_raw(2 * len(k)).reshape(-1, 2)
+        _below(x[:, 0], b_k1, k)  # meter reading k; kept if x[:, 1] is below P(+|k)'s bound
+        n1 += np.count_nonzero(np.logical_and(_below(x[:, 1], b1, hit), k, out=hit))
         np.logical_not(k, out=k)
-        n0 += np.count_nonzero(np.logical_and(np.less(d[:, 1], p0, out=hit), k, out=hit))
+        n0 += np.count_nonzero(np.logical_and(_below(x[:, 1], b0, hit), k, out=hit))
+        del x  # one chunk of words alive at a time
     return n0 + n1, n1
 
 
@@ -187,14 +203,18 @@ def estimate_sampled(
     then samples a final +/- measurement on the exact conditional signal
     state; shots with final result '-' are discarded. The retained
     (+/-1)-valued meter record m gives the estimate via
-    <n> = (1 + mean(m)/(2 gamma^2 - 1))/2. The stream is a counter-based
-    Philox generator keyed by ``seed``, so ``(shots, seed)`` fixes the
-    value bit for bit on any number of CPUs. Spans of whole CHUNK_SHOTS
-    chunks are counted in parallel on the CPUs available to the process,
-    and memory does not grow with ``shots``.
+    <n> = (1 + mean(m)/(2 gamma^2 - 1))/2. ``shots`` >= 1 and ``seed`` >= 0
+    are integers. The shots are counted on the raw 64-bit words of a
+    counter-based Philox generator keyed by ``seed``, against exact integer
+    bounds that stand for ``Generator.random``'s doubles, so ``(shots, seed)``
+    fixes the value bit for bit on any number of CPUs. Spans of whole
+    CHUNK_SHOTS chunks are counted in parallel on the CPUs available to the
+    process, and memory does not grow with ``shots``.
     """
-    if shots < 1:
-        raise WeakValueError("shots must be >= 1")
+    for name, value, least in (("shots", shots, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise WeakValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    shots, seed = int(shots), int(seed)
     prep = cnot_qnd.MeterPrep(gamma)
     scale = 2.0 * prep.gamma**2 - 1.0
     if scale < SINGULAR_SCALE:

@@ -416,6 +416,55 @@ def test_sampled_requires_shots():
         estimate_sampled(0.8, -0.6, 0.8, 0, 1)
 
 
+@pytest.mark.parametrize(
+    "shots, seed, field",
+    [
+        (1e5, 1, "shots"),
+        (True, 1, "shots"),
+        (np.bool_(True), 1, "shots"),
+        ("100", 1, "shots"),
+        (-3, 1, "shots"),
+        (10**6, -1, "seed"),
+        (10**6, 2.5, "seed"),
+        (10**6, None, "seed"),
+        (10**6, False, "seed"),
+        (10**6, np.float64(4.0), "seed"),
+    ],
+)
+def test_sampled_checks_shots_and_seed_before_any_thread(monkeypatch, shots, seed, field):
+    monkeypatch.setattr(wv, "_available_cpus", lambda: 7)
+    monkeypatch.setattr(wv, "threading", SimpleNamespace(Thread=ThreadSpy))
+    monkeypatch.setattr(ThreadSpy, "started", [])
+    with pytest.raises(WeakValueError, match=f"^{field} "):
+        estimate_sampled(0.6, 0.8, 0.85, shots, seed)
+    assert ThreadSpy.started == []
+
+
+def test_sampled_takes_numpy_integers():
+    r = estimate_sampled(0.6, 0.8, 0.85, np.int32(C + 1), np.uint64(5))
+    assert (r.value, r.stderr) == sampled(0.6, 0.8, 0.85, C + 1, 5)
+
+
+WORD_PROBABILITIES = [0.0, 5e-324, 2.0**-60, 2.0**-53, 1 / 3, 0.5, 1 - 2.0**-53, 1.0, np.nextafter(1.0, 2.0)]
+
+
+@pytest.mark.parametrize("p", WORD_PROBABILITIES)
+def test_word_bound_agrees_with_the_double_compare(p):
+    bound = wv._word_bound(p)
+    words = [x for x in (0, 2**11 - 1, 2**11, bound - 1, bound, 2**63, 2**64 - 1) if 0 <= x < 2**64]
+    got = wv._below(np.array(words, np.uint64), bound, np.empty(len(words), bool))
+    assert got.tolist() == [(x >> 11) * 2.0**-53 < p for x in words]
+
+
+@pytest.mark.parametrize("seed, advance, n", [(0, 0, 1), (3, 5, 1001), (12, 2**40, 4096), (2**70, 7, 333)])
+def test_philox_doubles_are_the_top_53_bits_of_its_words(seed, advance, n):
+    # the sampler counts on raw words; if numpy's word-to-double mapping
+    # ever changed, its stream would no longer be Generator.random's
+    doubles = np.random.Generator(np.random.Philox(seed).advance(advance)).random(n)
+    words = np.random.Philox(seed).advance(advance).random_raw(n)
+    assert np.array_equal(doubles, (words >> np.uint64(11)) * 2.0**-53)
+
+
 def test_sampled_empty_postselection():
     # P(+) ~ 0.04 here, so a single shot at this seed is discarded
     with pytest.raises(EmptyPostSelectionError):
