@@ -21,7 +21,7 @@ import numpy as np
 
 from . import hilbert as hs
 from . import metrics
-from .hilbert import BasisSpec, DensityMatrix, ProbDist, PureState
+from .hilbert import BasisSpec, PureState
 
 GAMMA_MIN = 1.0 / math.sqrt(2.0)
 GAMMA_ATOL = 1e-12
@@ -58,29 +58,6 @@ class MeterPrep:
         return math.sqrt(max(0.0, 1.0 - self.gamma**2))
 
 
-def meter_state(prep: MeterPrep) -> PureState:
-    """The meter input state gamma|0> + gamma_bar|1>."""
-    return PureState((2,), np.array([prep.gamma, prep.gamma_bar], dtype=complex))
-
-
-@dataclass(frozen=True)
-class QNDOutcome:
-    """Full record of one gate run: joint state, reductions and statistics.
-
-    ``conditional[i]`` holds, for meter outcome i: its probability, the
-    post-measurement signal state, and the probability p_{|i>|i} that the
-    signal output is then found in basis eigenstate i.
-    """
-
-    joint: PureState
-    rho_s: DensityMatrix
-    rho_m: DensityMatrix
-    p_in: ProbDist
-    p_out: ProbDist
-    p_m: ProbDist
-    conditional: tuple
-
-
 def kraus(prep: MeterPrep, basis: BasisSpec = hs.Z_BASIS) -> np.ndarray:
     """Kraus operators of the gate on the signal, shape (2, 2, 2).
 
@@ -104,38 +81,6 @@ def _kraus_stacks(gammas, basis: BasisSpec) -> np.ndarray:
     return metrics._matmul_last(v * c.reshape(g.shape + (2, 1, 2)), v.conj().T)
 
 
-def run(signal: PureState, prep: MeterPrep, basis: BasisSpec = hs.Z_BASIS) -> QNDOutcome:
-    """Run the QND gate on a 1-qubit signal and collect all statistics.
-
-    The joint output is R^dag (CNOT) (R x I) |signal>|meter> with R the
-    rotation taking ``basis`` to the computational basis; the meter is
-    always read out in the computational basis. Its meter-k column is
-    M_k |signal>, with M_k from ``kraus``.
-    """
-    if signal.dim != 2:
-        raise hs.HilbertError("signal must be a single qubit")
-    m = kraus(prep, basis)
-    branches = m @ signal.amps  # branches[k] = M_k |signal>
-    _, _, probed = metrics._read(m, basis, signal.amps[None])
-    p_m, p_out = probed[:, 0]
-    p_in = np.abs(signal.amps @ basis.vectors.conj()) ** 2
-    conditional = []
-    for k in range(2):
-        if p_m[k] < ZERO_BRANCH:
-            conditional.append((0.0, None, 0.0))
-            continue
-        post = PureState.from_amplitudes(branches[k], dims=(2,))
-        p_match = abs(np.vdot(basis.vectors[:, k], post.amps)) ** 2
-        conditional.append((float(p_m[k]), post, p_match))
-    joint = branches.T
-    rho_s = DensityMatrix((2,), joint @ joint.conj().T)
-    rho_m = DensityMatrix((2,), branches @ branches.conj().T)
-    return QNDOutcome(
-        PureState((2, 2), joint), rho_s, rho_m, ProbDist(p_in), ProbDist(p_out), ProbDist(p_m),
-        tuple(conditional),
-    )
-
-
 _S = 1 / math.sqrt(2)
 _PAULI_ENSEMBLE = (
     ("|0>", hs.KET0), ("|1>", hs.KET1), ("|+>", hs.PLUS), ("|->", hs.MINUS),
@@ -154,6 +99,8 @@ def _score(gammas, basis: BasisSpec, ensemble):
     from one Born table and checked once."""
     if len(ensemble) == 0:
         raise ValueError("ensemble must be nonempty")
+    if any(state.dim != 2 for _, state in ensemble):
+        raise hs.HilbertError("ensemble states must be signal qubits")
     m = _kraus_stacks(gammas, basis)
     amps = np.array([state.amps for _, state in ensemble])
     joint, pair, probed = metrics._read(m, basis, amps)

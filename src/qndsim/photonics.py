@@ -10,8 +10,7 @@ stays unitary and "no photon in the dump" is a literal pattern constraint.
 
 ``run_gate`` and ``heralded_kraus`` read the gate off one cached pair map
 per (eta, loss), the 2x2 permanents of a mode unitary checked on every gate
-built; the Fock-space expansion (``FockState``, ``two_photon_input``,
-``lift_two_photon``) is kept as their reference.
+built. The polarization qubits index H as 0 and V as 1.
 
 Sign conventions: the eta-beamsplitter follows the Heisenberg relations
 s_Ho = sqrt(eta) s_H + sqrt(1-eta) m_H, m_Ho = sqrt(1-eta) s_H -
@@ -39,97 +38,9 @@ CIRCUIT_CACHE_SIZE = 8  # pair maps of checked gates kept, one per (eta, include
 _SIG, _MET = slice(0, 2), slice(2, 4)  # the gate's signal and meter modes
 _NOT_QUBITS = "signal and meter must be single-photon polarization qubits"
 
-# polarization qubit convention: index 0 = H, 1 = V
-POL_LABELS = ("H", "V")
-
 
 class PhotonicsError(ValueError):
     """Invalid circuit parameter or photon configuration."""
-
-
-@dataclass(frozen=True)
-class ModeLayout:
-    """Named optical modes with contiguous indices."""
-
-    names: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
-            raise PhotonicsError("mode names must be unique")
-
-    def index(self, name: str) -> int:
-        return self.names.index(name)
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.names)
-
-    @property
-    def signal_modes(self) -> tuple[int, int]:
-        return (self.index("s_H"), self.index("s_V"))
-
-    @property
-    def meter_modes(self) -> tuple[int, int]:
-        return (self.index("m_H"), self.index("m_V"))
-
-    @property
-    def dump_modes(self) -> tuple[int, ...]:
-        return tuple(i for i, n in enumerate(self.names) if n.startswith("dump"))
-
-
-@dataclass(frozen=True)
-class LinearCircuit:
-    """Unitary mode transformation with a record of its optical elements."""
-
-    layout: ModeLayout
-    u: np.ndarray
-    elements: tuple = ()
-
-    def __post_init__(self):
-        u = np.array(self.u, dtype=complex)
-        m = self.layout.n_modes
-        if u.shape != (m, m):
-            raise PhotonicsError(f"mode matrix shape {u.shape}, expected ({m},{m})")
-        _check_unitary(u)
-        u.setflags(write=False)
-        object.__setattr__(self, "u", u)
-
-    def to_json(self) -> dict:
-        return {
-            "modes": list(self.layout.names),
-            "elements": [dict(e) for e in self.elements],
-            "u_re": self.u.real.tolist(),
-            "u_im": self.u.imag.tolist(),
-        }
-
-
-class FockState:
-    """Two-photon state: map from mode occupation pattern to amplitude."""
-
-    def __init__(self, n_modes: int, amps: dict):
-        self.n_modes = n_modes
-        clean = {}
-        for pattern, amp in amps.items():
-            pattern = tuple(int(x) for x in pattern)
-            if len(pattern) != n_modes:
-                raise PhotonicsError(f"pattern {pattern} has wrong mode count")
-            if sum(pattern) != 2 or min(pattern) < 0:
-                raise PhotonicsError(f"pattern {pattern} is not a two-photon pattern")
-            if amp != 0:
-                clean[pattern] = complex(amp)
-        norm = math.sqrt(sum(abs(a) ** 2 for a in clean.values()))
-        if abs(norm - 1.0) > NORM_ATOL:
-            raise PhotonicsError(f"two-photon state not normalized: |amp|^2 = {norm**2}")
-        self.amps = clean
-
-    def amplitude(self, pattern) -> complex:
-        return self.amps.get(tuple(pattern), 0.0j)
-
-    def probability(self, pattern) -> float:
-        return abs(self.amplitude(pattern)) ** 2
-
-    def items(self):
-        return self.amps.items()
 
 
 def bs_matrix(eta: float) -> np.ndarray:
@@ -221,24 +132,6 @@ _GATE = {loss: _gate_constants(loss) for loss in (False, True)}
 _IDENTITY = {n: np.eye(n) for n in (4, 5)}
 
 
-def build_qnd_circuit(
-    eta: float, include_signal_loss: bool = False
-) -> tuple[ModeLayout, LinearCircuit]:
-    """Assemble the gate: eta-BS on the horizontal rails, optional 1/3-
-    transmittance balancing loss on s_V, and the output HWP on the meter."""
-    eta, loss = _check_eta(eta), bool(include_signal_loss)
-    names = ("s_H", "s_V", "m_H", "m_V") + (("dump_s",) if loss else ())
-    elements = [{"kind": "beamsplitter", "modes": ("s_H", "m_H"), "eta": eta}]
-    if loss:
-        elements.append(
-            {"kind": "loss_beamsplitter", "modes": ("s_V", "dump_s"), "transmittance": 1.0 / 3.0}
-        )
-    elements.append({"kind": "half_wave_plate", "modes": ("m_H", "m_V"), "angle_deg": 22.5})
-    layout = ModeLayout(names)
-    elements = tuple(tuple(e.items()) for e in elements)
-    return layout, LinearCircuit(layout, _mode_unitary(eta, loss), elements)
-
-
 @functools.lru_cache(maxsize=CIRCUIT_CACHE_SIZE)
 def _pair_map(eta: float, loss: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(A, its heralded rows as [meter k, signal i', signal i, meter j], class
@@ -253,55 +146,6 @@ def _pair_map(eta: float, loss: bool) -> tuple[np.ndarray, np.ndarray, np.ndarra
     for arr in (t, herald):
         arr.setflags(write=False)
     return t.reshape(-1, 4), herald, _GATE[loss][1]
-
-
-def lift_two_photon(circuit: LinearCircuit, state: FockState) -> FockState:
-    """Propagate a two-photon state through the mode unitary.
-
-    Input creation operators transform as a_j^dag -> sum_i U_ij a_i^dag;
-    the two-photon polynomial is expanded directly, with the sqrt(n!)
-    bosonic normalization handled per pattern.
-    """
-    m = circuit.layout.n_modes
-    if state.n_modes != m:
-        raise PhotonicsError("state and circuit mode counts differ")
-    u = circuit.u
-    out: dict = {}
-    for pattern, amp in state.items():
-        occupied = [i for i, n in enumerate(pattern) for _ in range(n)]
-        j1, j2 = occupied
-        pre = amp / (math.sqrt(2.0) if j1 == j2 else 1.0)
-        c1, c2 = u[:, j1], u[:, j2]
-        for i in range(m):
-            # diagonal monomial (a_i^dag)^2 |0> = sqrt(2) |2_i>
-            coeff = pre * c1[i] * c2[i] * math.sqrt(2.0)
-            if coeff != 0:
-                key = tuple(2 if k == i else 0 for k in range(m))
-                out[key] = out.get(key, 0.0j) + coeff
-            for k in range(i + 1, m):
-                coeff = pre * (c1[i] * c2[k] + c1[k] * c2[i])
-                if coeff != 0:
-                    key = tuple(1 if x in (i, k) else 0 for x in range(m))
-                    out[key] = out.get(key, 0.0j) + coeff
-    return FockState(m, out)
-
-
-def two_photon_input(signal_pol: PureState, meter_pol: PureState, layout: ModeLayout) -> FockState:
-    """One photon in the signal rails and one in the meter rails."""
-    if signal_pol.dim != 2 or meter_pol.dim != 2:
-        raise PhotonicsError("signal and meter must be single-photon polarization qubits")
-    m = layout.n_modes
-    s_idx, m_idx = layout.signal_modes, layout.meter_modes
-    amps = {}
-    for i in range(2):
-        for j in range(2):
-            amp = signal_pol.amps[i] * meter_pol.amps[j]
-            if amp != 0:
-                pattern = [0] * m
-                pattern[s_idx[i]] += 1
-                pattern[m_idx[j]] += 1
-                amps[tuple(pattern)] = amp
-    return FockState(m, amps)
 
 
 @dataclass(frozen=True)
@@ -375,7 +219,7 @@ def analytic_success(alpha: complex, beta: complex, include_signal_loss: bool = 
     input once the 2/3 loss on s_V is included.
     """
     n = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(n - 1.0) > NORM_ATOL:
+    if not abs(n - 1.0) <= NORM_ATOL:  # a NaN amplitude fails too
         raise PhotonicsError("input amplitudes must be normalized")
     if include_signal_loss:
         return 1.0 / 6.0

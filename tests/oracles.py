@@ -1,0 +1,203 @@
+"""Reference paths the tests check the library against.
+
+``run`` reads the CNOT gate's joint (signal, meter) state, reduced states,
+outcome statistics and post-measurement branches off its Kraus stack
+(``cnot_qnd.kraus``), in plain numpy.
+
+The library reads the heralded optical gate off the 2x2 permanents of its
+mode unitary (``photonics._pair_map``). The rest of this module expands the
+same gate the long way: two photons as a map from mode occupation pattern
+to amplitude, pushed through the mode unitary monomial by monomial. The
+tests compare the library's gate against it, and it against an explicit
+permanent sum.
+"""
+
+from __future__ import annotations
+
+import collections
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from qndsim import cnot_qnd as cq
+from qndsim import hilbert as hs
+from qndsim.hilbert import NORM_ATOL, PureState
+from qndsim.photonics import PhotonicsError, _check_eta, _check_unitary, _mode_unitary
+
+
+Run = collections.namedtuple("Run", "joint rho_s rho_m p_in p_out p_m conditional")
+
+
+def run(signal, prep, basis=hs.Z_BASIS):
+    """The gate on ``signal`` read off its Kraus stack. branches[k] = M_k |signal>
+    is the signal branch of meter reading k, so the joint (signal, meter)
+    amplitudes are branches^T. ``conditional[k]`` holds the probability of
+    reading k, the post-measurement signal and the probability p_{|k>|k} that
+    it is then found in basis eigenstate k."""
+    branches = cq.kraus(prep, basis) @ signal.amps
+    joint = branches.T
+    p_m = (np.abs(branches) ** 2).sum(axis=1)
+    p_out = (np.abs(basis.vectors.conj().T @ joint) ** 2).sum(axis=1)
+    p_in = np.abs(basis.vectors.conj().T @ signal.amps) ** 2
+    conditional = []
+    for k in range(2):
+        if p_m[k] < cq.ZERO_BRANCH:
+            conditional.append((0.0, None, 0.0))
+            continue
+        post = PureState.from_amplitudes(branches[k], dims=(2,))
+        conditional.append((p_m[k], post, abs(np.vdot(basis.vectors[:, k], post.amps)) ** 2))
+    return Run(joint.ravel(), joint @ joint.conj().T, branches @ branches.conj().T, p_in, p_out, p_m,
+               conditional)
+
+
+@dataclass(frozen=True)
+class ModeLayout:
+    """Named optical modes with contiguous indices."""
+
+    names: tuple[str, ...]
+
+    def __post_init__(self):
+        if len(set(self.names)) != len(self.names):
+            raise PhotonicsError("mode names must be unique")
+
+    def index(self, name: str) -> int:
+        return self.names.index(name)
+
+    @property
+    def n_modes(self) -> int:
+        return len(self.names)
+
+    @property
+    def signal_modes(self) -> tuple[int, int]:
+        return (self.index("s_H"), self.index("s_V"))
+
+    @property
+    def meter_modes(self) -> tuple[int, int]:
+        return (self.index("m_H"), self.index("m_V"))
+
+    @property
+    def dump_modes(self) -> tuple[int, ...]:
+        return tuple(i for i, n in enumerate(self.names) if n.startswith("dump"))
+
+
+@dataclass(frozen=True)
+class LinearCircuit:
+    """Unitary mode transformation with a record of its optical elements."""
+
+    layout: ModeLayout
+    u: np.ndarray
+    elements: tuple = ()
+
+    def __post_init__(self):
+        u = np.array(self.u, dtype=complex)
+        m = self.layout.n_modes
+        if u.shape != (m, m):
+            raise PhotonicsError(f"mode matrix shape {u.shape}, expected ({m},{m})")
+        _check_unitary(u)
+        u.setflags(write=False)
+        object.__setattr__(self, "u", u)
+
+    def to_json(self) -> dict:
+        return {
+            "modes": list(self.layout.names),
+            "elements": [dict(e) for e in self.elements],
+            "u_re": self.u.real.tolist(),
+            "u_im": self.u.imag.tolist(),
+        }
+
+
+class FockState:
+    """Two-photon state: map from mode occupation pattern to amplitude."""
+
+    def __init__(self, n_modes: int, amps: dict):
+        self.n_modes = n_modes
+        clean = {}
+        for pattern, amp in amps.items():
+            pattern = tuple(int(x) for x in pattern)
+            if len(pattern) != n_modes:
+                raise PhotonicsError(f"pattern {pattern} has wrong mode count")
+            if sum(pattern) != 2 or min(pattern) < 0:
+                raise PhotonicsError(f"pattern {pattern} is not a two-photon pattern")
+            if amp != 0:
+                clean[pattern] = complex(amp)
+        norm = math.sqrt(sum(abs(a) ** 2 for a in clean.values()))
+        if abs(norm - 1.0) > NORM_ATOL:
+            raise PhotonicsError(f"two-photon state not normalized: |amp|^2 = {norm**2}")
+        self.amps = clean
+
+    def amplitude(self, pattern) -> complex:
+        return self.amps.get(tuple(pattern), 0.0j)
+
+    def probability(self, pattern) -> float:
+        return abs(self.amplitude(pattern)) ** 2
+
+    def items(self):
+        return self.amps.items()
+
+
+def build_qnd_circuit(
+    eta: float, include_signal_loss: bool = False
+) -> tuple[ModeLayout, LinearCircuit]:
+    """Assemble the gate: eta-BS on the horizontal rails, optional 1/3-
+    transmittance balancing loss on s_V, and the output HWP on the meter."""
+    eta, loss = _check_eta(eta), bool(include_signal_loss)
+    names = ("s_H", "s_V", "m_H", "m_V") + (("dump_s",) if loss else ())
+    elements = [{"kind": "beamsplitter", "modes": ("s_H", "m_H"), "eta": eta}]
+    if loss:
+        elements.append(
+            {"kind": "loss_beamsplitter", "modes": ("s_V", "dump_s"), "transmittance": 1.0 / 3.0}
+        )
+    elements.append({"kind": "half_wave_plate", "modes": ("m_H", "m_V"), "angle_deg": 22.5})
+    layout = ModeLayout(names)
+    elements = tuple(tuple(e.items()) for e in elements)
+    return layout, LinearCircuit(layout, _mode_unitary(eta, loss), elements)
+
+
+def lift_two_photon(circuit: LinearCircuit, state: FockState) -> FockState:
+    """Propagate a two-photon state through the mode unitary.
+
+    Input creation operators transform as a_j^dag -> sum_i U_ij a_i^dag;
+    the two-photon polynomial is expanded directly, with the sqrt(n!)
+    bosonic normalization handled per pattern.
+    """
+    m = circuit.layout.n_modes
+    if state.n_modes != m:
+        raise PhotonicsError("state and circuit mode counts differ")
+    u = circuit.u
+    out: dict = {}
+    for pattern, amp in state.items():
+        occupied = [i for i, n in enumerate(pattern) for _ in range(n)]
+        j1, j2 = occupied
+        pre = amp / (math.sqrt(2.0) if j1 == j2 else 1.0)
+        c1, c2 = u[:, j1], u[:, j2]
+        for i in range(m):
+            # diagonal monomial (a_i^dag)^2 |0> = sqrt(2) |2_i>
+            coeff = pre * c1[i] * c2[i] * math.sqrt(2.0)
+            if coeff != 0:
+                key = tuple(2 if k == i else 0 for k in range(m))
+                out[key] = out.get(key, 0.0j) + coeff
+            for k in range(i + 1, m):
+                coeff = pre * (c1[i] * c2[k] + c1[k] * c2[i])
+                if coeff != 0:
+                    key = tuple(1 if x in (i, k) else 0 for x in range(m))
+                    out[key] = out.get(key, 0.0j) + coeff
+    return FockState(m, out)
+
+
+def two_photon_input(signal_pol: PureState, meter_pol: PureState, layout: ModeLayout) -> FockState:
+    """One photon in the signal rails and one in the meter rails."""
+    if signal_pol.dim != 2 or meter_pol.dim != 2:
+        raise PhotonicsError("signal and meter must be single-photon polarization qubits")
+    m = layout.n_modes
+    s_idx, m_idx = layout.signal_modes, layout.meter_modes
+    amps = {}
+    for i in range(2):
+        for j in range(2):
+            amp = signal_pol.amps[i] * meter_pol.amps[j]
+            if amp != 0:
+                pattern = [0] * m
+                pattern[s_idx[i]] += 1
+                pattern[m_idx[j]] += 1
+                amps[tuple(pattern)] = amp
+    return FockState(m, amps)

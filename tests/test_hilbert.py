@@ -5,26 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qndsim import cnot_qnd as cq
 from qndsim import hilbert as hs
 from qndsim import photonics as ph
 from qndsim import weakval as wv
-from qndsim.hilbert import (
-    BasisSpec,
-    DensityMatrix,
-    HilbertError,
-    ProbDist,
-    PureState,
-    ZeroProbabilityError,
-    apply_unitary,
-    born_distribution,
-    conditional_collapse,
-    partial_trace,
-    tensor_product,
-)
+from qndsim.cnot_qnd import MeterPrep
+from qndsim.hilbert import BasisSpec, HilbertError, ProbDist, PureState
+
+from oracles import run
 
 S = 1 / math.sqrt(2)
-CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 
 
 def random_state(rng, dims):
@@ -92,96 +82,119 @@ def test_basis_rejects_non_orthonormal():
         BasisSpec(np.array([[1.0, 1.0], [0.0, 0.0]]))
 
 
-# ------------------------------------------------------------- tensor_product
+def test_from_amplitudes_rejects_zero_vector():
+    with pytest.raises(HilbertError, match="zero vector"):
+        PureState.from_amplitudes([0.0, 1e-15])
+
+
+def test_overlap_rejects_dimension_mismatch():
+    with pytest.raises(HilbertError, match="dimension"):
+        hs.KET0.overlap(PureState.basis_state((2, 2), 0))
+
+
+def test_basis_states_are_the_named_qubits():
+    for k, ket in enumerate((hs.KET0, hs.KET1)):
+        assert hs.Z_BASIS.state(k).equal_up_to_phase(ket)
+    assert hs.X_BASIS.state(0).equal_up_to_phase(hs.PLUS)
+    assert hs.X_BASIS.state(1).equal_up_to_phase(hs.MINUS)
+    assert hs.Y_BASIS.state(0).equal_up_to_phase(hs.qubit(S, 1j * S))
+    assert hs.Y_BASIS.state(1).equal_up_to_phase(hs.qubit(S, -1j * S))
+
+
+def test_probdist_from_weights_normalizes_counts():
+    np.testing.assert_allclose(ProbDist.from_weights([3, 1, 0]).p, [0.75, 0.25, 0.0], atol=1e-15)
+    with pytest.raises(HilbertError, match="nonnegative"):
+        ProbDist.from_weights([2.0, -1.0])
+    with pytest.raises(HilbertError, match="positive sum"):
+        ProbDist.from_weights([0.0, 0.0])
+
+
+# --------------------------------------------------- the gate's joint state
+# The joint (signal, meter) state of the CNOT gate and the statistics read
+# from it, as ``oracles.run`` takes them off the Kraus stack ``cnot_qnd.kraus``:
+# tensor structure, reduced states, Born statistics and collapse.
 
 
 def test_tensor_basis_states():
-    out = tensor_product(hs.KET0, hs.KET0)
-    assert out.dims == (2, 2)
-    np.testing.assert_allclose(out.amps, [1, 0, 0, 0])
+    # signal |0> with the meter prepared in |0>: the product basis state |00>
+    out = run(hs.KET0, MeterPrep(1.0))
+    np.testing.assert_allclose(out.joint, PureState.basis_state((2, 2), 0).amps, atol=1e-15)
 
 
 def test_tensor_linearity():
-    out = tensor_product(hs.qubit(0.6, 0.8), hs.KET0)
-    np.testing.assert_allclose(out.amps, [0.6, 0, 0.8, 0], atol=1e-15)
+    # signal |0> leaves the meter as prepared, and the gate is linear in the signal
+    g, gb = 0.8, 0.6
+    zero, one = run(hs.KET0, MeterPrep(g)).joint, run(hs.KET1, MeterPrep(g)).joint
+    np.testing.assert_allclose(zero, [g, gb, 0, 0], atol=1e-15)
+    out = run(hs.qubit(0.6, 0.8j), MeterPrep(g))
+    np.testing.assert_allclose(out.joint, 0.6 * zero + 0.8j * one, atol=1e-12)
 
 
 def test_tensor_uniform():
-    out = tensor_product(hs.PLUS, hs.PLUS)
-    np.testing.assert_allclose(out.amps, [0.5] * 4, atol=1e-15)
-
-
-# -------------------------------------------------------------- partial_trace
+    # |+> leaves the turned-off meter |+> as it is: the joint is |+>|+>
+    out = run(hs.PLUS, MeterPrep(S))
+    np.testing.assert_allclose(out.joint, [0.5] * 4, atol=1e-15)
 
 
 def test_partial_trace_bell():
-    bell = PureState((2, 2), np.array([S, 0, 0, S]))
-    red = partial_trace(bell.density_matrix(), [0])
-    np.testing.assert_allclose(red.entries, np.diag([0.5, 0.5]), atol=1e-12)
+    out = run(hs.PLUS, MeterPrep(1.0))
+    np.testing.assert_allclose(out.joint, [S, 0, 0, S], atol=1e-12)
+    np.testing.assert_allclose(out.rho_s, np.diag([0.5, 0.5]), atol=1e-12)
+    np.testing.assert_allclose(out.rho_m, np.diag([0.5, 0.5]), atol=1e-12)
 
 
 def test_partial_trace_weighted_entangled():
-    # tracing the meter from alpha|00> + beta|11> leaves diag(|a|^2, |b|^2)
-    psi = PureState((2, 2), np.array([0.6, 0, 0, 0.8]))
-    red = partial_trace(psi.density_matrix(), [0])
-    np.testing.assert_allclose(red.entries, np.diag([0.36, 0.64]), atol=1e-12)
+    # tracing either qubit from alpha|00> + beta|11> leaves diag(|a|^2, |b|^2)
+    out = run(hs.qubit(0.6, 0.8), MeterPrep(1.0))
+    np.testing.assert_allclose(out.rho_s, np.diag([0.36, 0.64]), atol=1e-12)
+    np.testing.assert_allclose(out.rho_m, np.diag([0.36, 0.64]), atol=1e-12)
 
 
 def test_partial_trace_product_state():
+    # a turned-off gate leaves signal and meter a product: each keeps its own pure state
     sig = hs.qubit(0.6, 0.8j)
-    joint = tensor_product(sig, hs.KET0)
-    red = partial_trace(joint.density_matrix(), [0])
-    np.testing.assert_allclose(red.entries, sig.density_matrix().entries, atol=1e-12)
-
-
-def test_partial_trace_invalid_subsystem():
-    rho = hs.KET0.density_matrix()
-    with pytest.raises(HilbertError):
-        partial_trace(rho, [1])
-
-
-# ---------------------------------------------------------- born_distribution
+    out = run(sig, MeterPrep(S))
+    np.testing.assert_allclose(out.rho_s, np.outer(sig.amps, sig.amps.conj()), atol=1e-12)
+    np.testing.assert_allclose(out.rho_m, np.full((2, 2), 0.5), atol=1e-12)
 
 
 def test_born_qubit_z():
-    p = born_distribution(hs.qubit(0.6, 0.8), hs.Z_BASIS)
-    np.testing.assert_allclose(p.p, [0.36, 0.64], atol=1e-12)
+    out = run(hs.qubit(0.6, 0.8), MeterPrep(1.0))
+    np.testing.assert_allclose(out.p_m, [0.36, 0.64], atol=1e-12)
 
 
 def test_born_conjugate_uniform():
-    p = born_distribution(hs.KET0, hs.X_BASIS)
-    np.testing.assert_allclose(p.p, [0.5, 0.5], atol=1e-12)
+    out = run(hs.KET0, MeterPrep(1.0), hs.X_BASIS)
+    np.testing.assert_allclose(out.p_m, [0.5, 0.5], atol=1e-12)
 
 
 def test_born_meter_marginal_of_gate_state():
     a, b, g = 0.6, 0.8, 0.9
     gb = math.sqrt(1 - g * g)
-    state = PureState((2, 2), np.array([a * g, a * gb, b * gb, b * g]))
-    p = born_distribution(state, hs.Z_BASIS, subsystem=1)
+    out = run(hs.qubit(a, b), MeterPrep(g))
+    np.testing.assert_allclose(out.joint, [a * g, a * gb, b * gb, b * g], atol=1e-12)
     expected = [a * a * g * g + b * b * gb * gb, b * b * g * g + a * a * gb * gb]
-    np.testing.assert_allclose(p.p, expected, atol=1e-12)
+    np.testing.assert_allclose(out.p_m, expected, atol=1e-12)
 
 
 def test_born_dimension_mismatch():
     with pytest.raises(HilbertError):
-        born_distribution(hs.KET0, BasisSpec(np.eye(3)))
-
-
-# ------------------------------------------------------- conditional_collapse
+        cq.kraus(MeterPrep(1.0), BasisSpec(np.eye(3)))
 
 
 def test_collapse_entangled_meter():
-    psi = PureState((2, 2), np.array([0.6, 0, 0, 0.8]))
-    prob, post = conditional_collapse(psi, hs.Z_BASIS, 1, 0)
-    assert prob == pytest.approx(0.36, abs=1e-12)
-    np.testing.assert_allclose(post.amps, [1, 0, 0, 0], atol=1e-12)
+    prob, post, p_match = run(hs.qubit(0.6, 0.8), MeterPrep(1.0)).conditional[1]
+    assert prob == pytest.approx(0.64, abs=1e-12)
+    assert post.equal_up_to_phase(hs.KET1)
+    assert p_match == pytest.approx(1.0, abs=1e-12)
 
 
 def test_collapse_eigenstate_is_identity():
-    joint = tensor_product(hs.PLUS, hs.KET0)
-    prob, post = conditional_collapse(joint, hs.X_BASIS, 0, 0)
-    assert prob == pytest.approx(1.0, abs=1e-12)
-    assert post.equal_up_to_phase(joint)
+    # an eigenstate of the measured observable is left as it is, at any strength
+    for g in (S, 0.8, 1.0):
+        prob, post, _ = run(hs.PLUS, MeterPrep(g), hs.X_BASIS).conditional[0]
+        assert prob == pytest.approx(g * g, abs=1e-12)
+        assert post.equal_up_to_phase(hs.PLUS)
 
 
 def test_collapse_gate2_state_matches_matrix_oracle():
@@ -194,43 +207,49 @@ def test_collapse_gate2_state_matches_matrix_oracle():
     prob_oracle = float(np.vdot(projected, projected).real)
     post_oracle = projected / math.sqrt(prob_oracle)
 
-    state = PureState((2, 2), amps)
-    prob, post = conditional_collapse(state, hs.Z_BASIS, 1, 0)
+    out = run(hs.qubit(a, b), MeterPrep(g))
+    np.testing.assert_allclose(out.joint, amps, atol=1e-12)
+    prob, post, _ = out.conditional[0]
     assert prob == pytest.approx(prob_oracle, abs=1e-12)
-    np.testing.assert_allclose(post.amps, post_oracle, atol=1e-12)
+    # the signal factor of signal x |0>
+    np.testing.assert_allclose(post.amps, post_oracle.reshape(2, 2)[:, 0], atol=1e-12)
     # frozen expectation from the oracle
     assert prob == pytest.approx(a * a * g * g + b * b * gb * gb, abs=1e-12)
 
 
 def test_collapse_zero_probability_branch():
-    joint = tensor_product(hs.KET0, hs.KET0)
-    with pytest.raises(ZeroProbabilityError):
-        conditional_collapse(joint, hs.Z_BASIS, 1, 1)
-
-
-# --------------------------------------------------------------- apply_unitary
+    assert run(hs.KET0, MeterPrep(1.0)).conditional[1] == (0.0, None, 0.0)
 
 
 def test_cnot_entangles():
-    joint = tensor_product(hs.qubit(0.6, 0.8), hs.KET0)
-    out = apply_unitary(CNOT, joint, [0, 1])
-    np.testing.assert_allclose(out.amps, [0.6, 0, 0, 0.8], atol=1e-12)
+    # Schmidt coefficients of the joint: |a|, |b| at full strength, a product when off
+    sig = hs.qubit(0.6, 0.8)
+    on = run(sig, MeterPrep(1.0)).joint.reshape(2, 2)
+    np.testing.assert_allclose(np.linalg.svd(on, compute_uv=False), [0.8, 0.6], atol=1e-12)
+    off = run(sig, MeterPrep(S)).joint.reshape(2, 2)
+    np.testing.assert_allclose(np.linalg.svd(off, compute_uv=False), [1.0, 0.0], atol=1e-12)
 
 
 def test_identity_noop():
+    # the turned-off gate acts on the signal as the identity, in every basis
+    for basis in (hs.Z_BASIS, hs.X_BASIS, hs.Y_BASIS):
+        np.testing.assert_allclose(cq.kraus(MeterPrep(S), basis), [S * np.eye(2)] * 2, atol=1e-15)
     psi = hs.qubit(0.6, 0.8j)
-    out = apply_unitary(np.eye(2), psi, [0])
-    np.testing.assert_allclose(out.amps, psi.amps)
+    np.testing.assert_allclose(run(psi, MeterPrep(S)).joint, np.kron(psi.amps, [S, S]), atol=1e-15)
 
 
 def test_hadamard_involution():
-    out = apply_unitary(HADAMARD, apply_unitary(HADAMARD, hs.KET0, [0]), [0])
-    assert out.equal_up_to_phase(hs.KET0)
+    h = hs.X_BASIS.vectors
+    np.testing.assert_allclose(h @ h, np.eye(2), atol=1e-15)
+    plus = np.outer(hs.PLUS.amps, hs.PLUS.amps)
+    np.testing.assert_allclose(cq.kraus(MeterPrep(1.0), hs.X_BASIS)[0], plus, atol=1e-15)
 
 
 def test_non_unitary_rejected():
-    with pytest.raises(HilbertError):
-        apply_unitary(np.array([[1, 0], [0, 2]]), hs.KET0, [0])
+    with pytest.raises(ph.PhotonicsError, match="unitary"):
+        ph._check_unitary(np.array([[1.0, 0.0], [0.0, 2.0]]))
+    with pytest.raises(HilbertError, match="orthonormal"):
+        BasisSpec(np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 
 # off-Hermitian by 4e-6, and an identity whose first entry is 4e-6 too long
@@ -241,15 +260,8 @@ STRETCHED = np.diag([1.0 + 4e-6, 1.0])
 @pytest.mark.parametrize(
     "build, error, match",
     [
-        pytest.param(lambda: DensityMatrix((2,), SKEWED), HilbertError, "Hermitian", id="density"),
         pytest.param(lambda: BasisSpec(STRETCHED), HilbertError, "orthonormal", id="basis"),
-        pytest.param(lambda: apply_unitary(STRETCHED, hs.KET0), HilbertError, "unitary", id="apply"),
-        pytest.param(
-            lambda: ph.LinearCircuit(ph.ModeLayout(("a", "b")), STRETCHED),
-            ph.PhotonicsError,
-            "unitary",
-            id="circuit",
-        ),
+        pytest.param(lambda: ph._check_unitary(STRETCHED), ph.PhotonicsError, "unitary", id="circuit"),
         pytest.param(
             lambda: wv.PovmPair(SKEWED, np.eye(2) - SKEWED), wv.WeakValueError, "e0", id="povm_effect"
         ),
@@ -270,52 +282,47 @@ def test_identity_checks_hold_their_absolute_tolerance(build, error, match):
 # ------------------------------------------------------------------ properties
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_norm_preserved_under_unitary(seed):
+def random_run(seed, gamma):
     rng = np.random.default_rng(seed)
-    psi = random_state(rng, (2, 2))
-    u = random_unitary(rng, 4)
-    out = apply_unitary(u, psi, [0, 1])
-    assert abs(np.vdot(out.amps, out.amps).real - 1.0) < 1e-12
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_partial_trace_preserves_trace_and_purity_bound(seed):
-    rng = np.random.default_rng(seed)
-    psi = random_state(rng, (2, 2, 2))
-    red = partial_trace(psi.density_matrix(), [0, 2])
-    assert abs(np.trace(red.entries).real - 1.0) < 1e-10
-    pur = red.purity()
-    assert 1 / red.dim - 1e-10 <= pur <= 1 + 1e-10
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_marginal_consistency(seed):
-    rng = np.random.default_rng(seed)
-    psi = random_state(rng, (2, 2))
     basis = BasisSpec(random_unitary(rng, 2))
-    direct = born_distribution(psi, basis, 1)
-    via_trace = born_distribution(partial_trace(psi.density_matrix(), [1]), basis, 0)
-    np.testing.assert_allclose(direct.p, via_trace.p, atol=1e-10)
+    return run(random_state(rng, (2,)), MeterPrep(gamma), basis), basis
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_collapse_completeness(seed):
-    rng = np.random.default_rng(seed)
-    psi = random_state(rng, (2, 2))
-    basis = BasisSpec(random_unitary(rng, 2))
-    total = 0.0
-    for k in range(2):
-        try:
-            prob, _ = conditional_collapse(psi, basis, 1, k)
-        except ZeroProbabilityError:
-            prob = 0.0
-        total += prob
-    assert abs(total - 1.0) < 1e-10
+@given(st.integers(0, 2**32 - 1), st.floats(1 / math.sqrt(2), 1.0))
+def test_norm_preserved_under_unitary(seed, gamma):
+    out, _ = random_run(seed, gamma)
+    assert abs(np.vdot(out.joint, out.joint).real - 1.0) < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(1 / math.sqrt(2), 1.0))
+def test_partial_trace_preserves_trace_and_purity_bound(seed, gamma):
+    out, _ = random_run(seed, gamma)
+    purities = []
+    for red in (out.rho_s, out.rho_m):
+        np.testing.assert_allclose(red, red.conj().T, atol=1e-12)
+        assert abs(np.trace(red).real - 1.0) < 1e-10
+        purities.append(np.trace(red @ red).real)
+        assert 1 / 2 - 1e-10 <= purities[-1] <= 1 + 1e-10
+    # both halves of a pure joint state have the same Schmidt spectrum
+    assert purities[0] == pytest.approx(purities[1], abs=1e-10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(1 / math.sqrt(2), 1.0))
+def test_marginal_consistency(seed, gamma):
+    out, basis = random_run(seed, gamma)
+    v = basis.vectors
+    np.testing.assert_allclose(out.p_m, np.diag(out.rho_m).real, atol=1e-10)
+    np.testing.assert_allclose(out.p_out, np.diag(v.conj().T @ out.rho_s @ v).real, atol=1e-10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(1 / math.sqrt(2), 1.0))
+def test_collapse_completeness(seed, gamma):
+    out, _ = random_run(seed, gamma)
+    assert abs(sum(prob for prob, _, _ in out.conditional) - 1.0) < 1e-10
 
 
 # ---------------------------------------------------------------- serialization
