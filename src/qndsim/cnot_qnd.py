@@ -7,9 +7,9 @@ turns the measurement off. Measurement in an arbitrary basis is obtained
 by conjugating the CNOT with the rotation taking that basis to the
 computational one.
 
-Every statistic here is read from the gate's Kraus operators on the
-signal, a (2, 2, 2) stack indexed by meter outcome (``kraus``); a grid of
-strengths is one more array axis, scored in one pass (``strength_sweep``).
+Every statistic is read off the gate's Kraus stack on the signal (``kraus``), a
+grid of strengths being one more axis (``strength_sweep``). Inputs are checked
+where they enter; the scorer reads ``metrics._read``'s plain arrays unchecked.
 """
 
 from __future__ import annotations
@@ -96,22 +96,16 @@ def pauli_ensemble() -> list[tuple[str, PureState]]:
 def _score(gammas, basis: BasisSpec, ensemble):
     """Per-input (F_M, F_QND), stacked as (2,) + gammas.shape + (n_inputs,),
     then F_QSP, the pair (K, K_bar) and raw C^2 (gammas.shape), all read
-    from one Born table and checked once."""
+    from one Born table; only the strengths, basis and ensemble are checked."""
     if len(ensemble) == 0:
-        raise ValueError("ensemble must be nonempty")
+        raise hs.HilbertError("ensemble must be nonempty")
     if any(state.dim != 2 for _, state in ensemble):
         raise hs.HilbertError("ensemble states must be signal qubits")
     m = _kraus_stacks(gammas, basis)
     amps = np.array([state.amps for _, state in ensemble])
-    joint, pair, probed = metrics._read(m, basis, amps)
+    q, pair, probed = metrics._read(m, basis, amps)
     p_in = np.abs(amps @ basis.vectors.conj()) ** 2
-    q = joint.q
-    return (
-        metrics.classical_fidelities(p_in, probed),
-        q[..., 0, 0] + q[..., 1, 1],
-        pair,
-        metrics.correlation_c2(joint),
-    )
+    return metrics._fidelities(p_in, probed), q[..., 0, 0] + q[..., 1, 1], pair, metrics._c2(q)
 
 
 def characterize(
@@ -123,7 +117,7 @@ def characterize(
 
     F_M and F_QND are computed per ensemble input; the headline values
     are worst case over the ensemble. F_QSP (= likelihood L), K and K_bar
-    are read off the Kraus stack by ``metrics.kraus_figures``: the
+    are read off the Kraus stack by ``metrics._read``: the
     maximally mixed input for F_QSP, the conjugate eigenstates for K_bar.
     Both C^2 conventions are returned: ``c2_raw`` evaluates the
     correlation function on the joint outcome statistics, ``c2_shortcut``

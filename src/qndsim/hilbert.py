@@ -2,8 +2,8 @@
 
 Pure states over a list of subsystem dimensions, orthonormal measurement
 bases and probability vectors, each an immutable value checked when it is
-built, plus the probability-table check and short-axis sum that the metrics
-reader shares. Subsystem indexing is big-endian: the leftmost tensor factor
+built, plus the probability-table check and short-axis sum that ``metrics``
+shares. Subsystem indexing is big-endian: the leftmost tensor factor
 is subsystem 0 (signal before meter, throughout).
 """
 
@@ -153,7 +153,7 @@ def checked_probabilities(p) -> np.ndarray:
     HilbertError for an entry below -PROB_CLAMP or a sum not 1 within
     PROB_ATOL (a NaN or infinite entry fails too)."""
     p = np.asarray(p, dtype=float)
-    if p.min() < -PROB_CLAMP:
+    if p.min(initial=0.0) < -PROB_CLAMP:  # an empty p falls through to the sum check
         raise HilbertError(f"negative probability {p.min()}")
     p = np.maximum(p, 0.0)
     s = _sum_last(p)
@@ -184,7 +184,7 @@ class ProbDist:
     def from_weights(cls, weights) -> "ProbDist":
         """Normalize nonnegative weights (e.g. raw counts) into a distribution."""
         w = np.asarray(weights, dtype=float).ravel()
-        if w.min() < 0:
+        if w.min(initial=0.0) < 0:  # empty weights fail the sum check
             raise HilbertError("weights must be nonnegative")
         total = w.sum()
         if not 0 < total < math.inf:

@@ -1,11 +1,11 @@
 """Figures of merit for QND measurement devices.
 
-Classical fidelity between outcome distributions, the three derived
-quality measures (measurement, QND and QSP fidelity), distinguishability
-of the measured and conjugate observables with the Englert trade-off,
-a generic two-observable correlation function, the reader that takes
-all of these off a device's Kraus operators (``kraus_figures``), and the
-closed-form bridges to continuous-variable transfer coefficients.
+Classical fidelity, the measurement, QND and QSP fidelities, the
+distinguishability pair with the Englert trade-off, a two-observable
+correlation function and closed-form CV bridges. Outside input is checked
+where it enters and not again: ``kraus_figures`` is the public, checked
+reader of a Kraus stack, and the scorers read the plain arrays of the
+internal ``_read`` through the unchecked ``_fidelities`` and ``_c2``.
 
 The CV conditional variance V_{s|m} and the uncertainty product
 V_{s|m} * V_conj >= 1 require Gaussian-state simulation and are out of
@@ -67,15 +67,12 @@ def classical_fidelity(p, q) -> float:
     pa, qa = _as_dist(p), _as_dist(q)
     if pa.size != qa.size:
         raise MetricsError(f"distribution length mismatch: {pa.size} vs {qa.size}")
-    return float(classical_fidelities(pa, qa))
+    return float(_fidelities(pa, qa))
 
 
-def classical_fidelities(p, q) -> np.ndarray:
-    """F(p, q) along the last axis of stacks of distributions; each vector is
-    checked as a ``ProbDist`` is, and F in [0, 1], once per stack."""
-    f = _sum_last(np.sqrt(checked_probabilities(p) * checked_probabilities(q))) ** 2
-    _check_range("fidelity", f, 0.0)
-    return f
+def _fidelities(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """F(p, q) along the last axis of stacks of probability vectors, unchecked."""
+    return _sum_last(np.sqrt(p * q)) ** 2
 
 
 def measurement_fidelity(p_in, p_m) -> float:
@@ -116,10 +113,6 @@ class FidelityReport:
     per_input: tuple = ()
     f_m_mean: float | None = None
     f_qnd_mean: float | None = None
-
-    def __post_init__(self):
-        for name in ("f_m", "f_qnd", "f_qsp"):
-            _check_range(name, getattr(self, name), 0.0)
 
 
 @dataclass(frozen=True)
@@ -187,7 +180,11 @@ def correlation_c2(joint: JointDist, subtract_mean: bool = False) -> float:
     the default uses the raw observables, matching the qubit Z form.
     A batched ``joint`` gives one value per distribution.
     """
-    a, b, q = joint.eigvals_a, joint.eigvals_b, joint.q
+    return _c2(joint.q, joint.eigvals_a, joint.eigvals_b, subtract_mean)
+
+
+def _c2(q: np.ndarray, a=_PLUS_MINUS, b=_PLUS_MINUS, subtract_mean: bool = False) -> np.ndarray:
+    """``correlation_c2`` of the joint table ``q`` with eigenvalues ``a``, ``b``, unchecked."""
     pa = _sum_last(q)
     pb = _sum_last(q.swapaxes(-2, -1))
     if subtract_mean:
@@ -209,20 +206,30 @@ def kraus_figures(m: np.ndarray, basis: BasisSpec) -> tuple[JointDist, Distingui
     stack is heralded). The joint distribution is that of the maximally
     mixed input read in ``basis``; its trace is F_QSP = L. K_bar uses the
     conjugate eigenstates, the columns of ``basis.vectors @ X_BASIS.vectors``.
+    MetricsError if ``m`` is not finite or heralds one of these inputs with probability 0.
     """
-    return _read(m, basis)[:2]
+    if not np.isfinite(m).all():
+        raise MetricsError("Kraus stack has a non-finite entry")
+    if not ((np.abs(m @ _outputs(basis)) ** 2).sum(axis=(-3, -2)) > 0).all():
+        raise MetricsError("Kraus stack heralds a basis or conjugate input with probability 0")
+    q, pair, _ = _read(m, basis)
+    return JointDist(q, eigvals_a=_PLUS_MINUS, eigvals_b=_PLUS_MINUS), pair
+
+
+def _outputs(basis: BasisSpec) -> np.ndarray:
+    """B = [V | V X]: the eigenstates of ``basis`` and of its conjugate, as columns."""
+    return np.concatenate((basis.vectors, basis.vectors @ X_BASIS.vectors), axis=1)
 
 
 def _read(m: np.ndarray, basis: BasisSpec, probes: np.ndarray | None = None):
-    """``kraus_figures`` of ``m`` and the unconditioned (p_m, p_out) of the
-    rows of ``probes``, stacked as (2, ...m's batch, n, 2), or None.
+    """``kraus_figures`` of ``m``, unchecked and with q a plain array, and the
+    unconditioned (p_m, p_out) of the rows of ``probes`` as (2, ...m's batch, n, 2), or None.
 
     All come from one Born table w[..., k, j, i] = |b_j^dag M_k a_i|^2 over
     the outputs B = [V | V X] and the inputs A = [B | probes^T]; every sum
     in it is an in-order slice add.
     """
-    v = basis.vectors
-    b = np.concatenate((v, v @ X_BASIS.vectors), axis=1)
+    b = _outputs(basis)
     a = b if probes is None else np.concatenate((b, probes.T), axis=1)
     bhm = _matmul_last(m.swapaxes(-2, -1), b.conj()).swapaxes(-2, -1)  # (M^T B^*)^T
     w = np.abs(_matmul_last(bhm, a)) ** 2
@@ -235,13 +242,12 @@ def _read(m: np.ndarray, basis: BasisSpec, probes: np.ndarray | None = None):
     q = 0.5 * (c[..., 0, :, 0] + c[..., 0, :, 1]).swapaxes(-2, -1)  # maximally mixed input over V
     hits = c[..., 0, 1, :, 2:] + c[..., 1, 1, :, 2:]  # [..., j, i] over the conjugate block
     p_c = 0.5 * (hits[..., 0, 0] + hits[..., 1, 1])
-    joint = JointDist(q, eigvals_a=_PLUS_MINUS, eigvals_b=_PLUS_MINUS)
     pair = distinguishability(q[..., 0, 0] + q[..., 1, 1], p_c)
     if probes is None:
-        return joint, pair, None
+        return q, pair, None
     u = w[..., 0, :, 4:]  # [..., k, j, probe] over the V outputs
     probed = np.stack((u[..., 0, :] + u[..., 1, :], u[..., 0, :, :] + u[..., 1, :, :]))
-    return joint, pair, probed.swapaxes(-2, -1)
+    return q, pair, probed.swapaxes(-2, -1)
 
 
 def c2_from_fqsp(f_qsp: float) -> float:

@@ -229,12 +229,11 @@ def analytic_success(alpha: complex, beta: complex, include_signal_loss: bool = 
 def strength_distinguishability(a: float, eta: float = 1.0 / 3.0):
     """(K, K_bar) of the post-selected variable-strength gate.
 
-    Read off the heralded Kraus stack by ``metrics.kraus_figures`` in the
-    H/V basis: K from the heralded likelihood L that the meter readout
-    matches the signal output, K_bar from diagonal/antidiagonal signals
-    read out in that basis. The balancing loss is always included in this
-    regime. Also returns the equivalent CNOT strength gamma_eff = sqrt(L), L = (K + 1)/2.
+    Read unchecked by ``metrics._read`` off the heralded Kraus stack of the checked a and
+    eta, in the H/V basis: K from the heralded likelihood L that the meter readout matches
+    the signal output, K_bar from diagonal/antidiagonal signals read out in that basis. The
+    balancing loss is always included. Also returns the equivalent CNOT strength sqrt(L).
     """
     m = heralded_kraus(meter_prep_strength(a), eta, include_signal_loss=True)
-    _, pair = metrics.kraus_figures(m, Z_BASIS)
+    _, pair, _ = metrics._read(m, Z_BASIS)
     return pair, math.sqrt((pair.k + 1.0) / 2.0)

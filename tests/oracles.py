@@ -122,7 +122,7 @@ class FockState:
             if amp != 0:
                 clean[pattern] = complex(amp)
         norm = math.sqrt(sum(abs(a) ** 2 for a in clean.values()))
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:  # a NaN amplitude fails too
             raise PhotonicsError(f"two-photon state not normalized: |amp|^2 = {norm**2}")
         self.amps = clean
 

@@ -11,6 +11,7 @@ from qndsim import photonics as ph
 from qndsim import weakval as wv
 from qndsim.cnot_qnd import MeterPrep
 from qndsim.hilbert import BasisSpec, HilbertError, ProbDist, PureState
+from qndsim.metrics import classical_fidelity
 
 from oracles import run
 
@@ -75,6 +76,20 @@ def test_probdist_rejects_non_finite(weights):
         ProbDist.from_weights(weights)
     with pytest.raises(HilbertError):
         ProbDist(np.array(weights))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ProbDist([]),
+    lambda: ProbDist.from_weights([]),
+    lambda: ProbDist(np.empty((0,))),
+    lambda: classical_fidelity([], []),
+    lambda: cq.characterize(MeterPrep(1.0), ensemble=[]),
+    lambda: cq.strength_sweep([S, 1.0], ensemble=[]),
+], ids=["probdist", "from_weights", "probdist_array", "classical_fidelity", "characterize", "strength_sweep"])
+def test_empty_distribution_is_a_hilbert_error(build):
+    # typed, not numpy's "zero-size array to reduction operation minimum"
+    with pytest.raises(HilbertError, match="sum|nonempty"):
+        build()
 
 
 def test_basis_rejects_non_orthonormal():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -277,6 +278,41 @@ def test_batched_reader_matches_per_stack_calls_and_einsum_reference():
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
+def _cnot_kraus(gamma):
+    from qndsim import cnot_qnd
+
+    return cnot_qnd.kraus(cnot_qnd.MeterPrep(gamma))
+
+
+def _unheralded_stacks():
+    """Kraus stacks in the Z basis that herald a basis input (|1>), a conjugate
+    input (|->) or nothing with probability 0, alone and in a batch."""
+    zero = np.zeros((2, 2, 2), dtype=complex)
+    on_0, on_plus = zero.copy(), zero.copy()
+    on_0[0, 0, 0] = 1.0
+    on_plus[0] = 0.5
+    return [on_0, on_plus, zero, np.array([_cnot_kraus(0.9), on_plus])]
+
+
+@pytest.mark.parametrize("m", _unheralded_stacks(), ids=["basis", "conjugate", "zero", "batch"])
+def test_kraus_figures_rejects_an_unheralded_input_before_dividing(m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no 0/0 RuntimeWarning first, in any test run
+        with pytest.raises(MetricsError, match="probability 0"):
+            metrics.kraus_figures(m, BasisSpec(np.eye(2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_kraus_figures_rejects_a_non_finite_stack(bad):
+    m = _cnot_kraus(0.9).copy()
+    m[1, 0, 1] = bad
+    for stack in (m, np.array([_cnot_kraus(0.8), m])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MetricsError, match="non-finite"):
+                metrics.kraus_figures(stack, BasisSpec(np.eye(2)))
+
+
 def _reference_probe_statistics(m, basis, probes):
     """p_in, p_m and p_out of the input states ``probes`` (rows) under the
     stacks ``m``, by explicit einsum contractions: p_m from the computational
@@ -311,7 +347,7 @@ def test_reader_probe_columns_match_einsum_reference():
         np.testing.assert_allclose(probed[1], p_out, rtol=0, atol=1e-14)
         # F_M and F_QND of each input conditioned on its success probability
         success = p_m.sum(axis=-1, keepdims=True)
-        f = metrics.classical_fidelities(p_in, probed / success)
+        f = metrics._fidelities(p_in, probed / success)
         np.testing.assert_allclose(f[0], _reference_fidelity(p_in, p_m / success), rtol=0, atol=1e-14)
         np.testing.assert_allclose(f[1], _reference_fidelity(p_in, p_out / success), rtol=0, atol=1e-14)
         # the CNOT scorer, against the reference on its per-strength stacks

@@ -258,6 +258,14 @@ def test_lift_rejects_wrong_photon_number():
         FockState(2, {(1, 0): 1.0})
 
 
+@pytest.mark.parametrize("amp", [math.nan, math.inf, complex(math.nan, 0.0), complex(0.0, math.inf)])
+def test_fock_oracle_rejects_non_finite_amplitude(amp):
+    with pytest.raises(PhotonicsError, match="not normalized"):
+        FockState(2, {(1, 1): amp})
+    with pytest.raises(PhotonicsError, match="not normalized"):
+        FockState(2, {(1, 1): math.sqrt(0.5), (2, 0): amp})
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 5))
 def test_lift_matches_permanent_oracle(seed, m):
