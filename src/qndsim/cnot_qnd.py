@@ -45,17 +45,20 @@ def _checked_gammas(gammas) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MeterPrep:
-    """Measurement strength: meter prepared in gamma|0> + gamma_bar|1>."""
+    """Measurement strength: meter prepared in gamma|0> + gamma_bar|1>.
+    ``gamma`` holds the checked strength, clipped to [1/sqrt(2), 1]."""
 
     gamma: float
 
     def __post_init__(self):
-        if _checked_gammas(self.gamma).ndim:
+        g = _checked_gammas(self.gamma)
+        if g.ndim:
             raise TypeError(f"gamma must be a number, got {self.gamma!r}")
+        object.__setattr__(self, "gamma", float(g))
 
     @property
     def gamma_bar(self) -> float:
-        return math.sqrt(max(0.0, 1.0 - self.gamma**2))
+        return math.sqrt(1.0 - self.gamma**2)
 
 
 def kraus(prep: MeterPrep, basis: BasisSpec = hs.Z_BASIS) -> np.ndarray:
@@ -70,13 +73,14 @@ def kraus(prep: MeterPrep, basis: BasisSpec = hs.Z_BASIS) -> np.ndarray:
 
 
 def _kraus_stacks(gammas, basis: BasisSpec) -> np.ndarray:
-    """``kraus`` at every strength in ``gammas``: gammas.shape + (2, 2, 2)."""
+    """``kraus`` at every strength in ``gammas``, each already checked
+    and clipped: gammas.shape + (2, 2, 2)."""
     if basis.dim != 2:
         raise hs.HilbertError("observable basis must be a qubit basis")
-    g = _checked_gammas(gammas)
+    g = np.asarray(gammas)
     c = np.empty(g.shape + (4,))  # c[..., k, :] = (c_k, c_{1-k}), flattened
     c[..., ::3] = g[..., None]
-    c[..., 1:3] = np.sqrt(np.maximum(0.0, 1.0 - g**2))[..., None]
+    c[..., 1:3] = np.sqrt(1.0 - g**2)[..., None]
     v = basis.vectors
     return metrics._matmul_last(v * c.reshape(g.shape + (2, 1, 2)), v.conj().T)
 
@@ -96,7 +100,7 @@ def pauli_ensemble() -> list[tuple[str, PureState]]:
 def _score(gammas, basis: BasisSpec, ensemble):
     """Per-input (F_M, F_QND), stacked as (2,) + gammas.shape + (n_inputs,),
     then F_QSP, the pair (K, K_bar) and raw C^2 (gammas.shape), all read
-    from one Born table; only the strengths, basis and ensemble are checked."""
+    from one Born table; only the basis and ensemble are checked here."""
     if len(ensemble) == 0:
         raise hs.HilbertError("ensemble must be nonempty")
     if any(state.dim != 2 for _, state in ensemble):
@@ -168,7 +172,7 @@ def strength_sweep(gammas, basis: BasisSpec = hs.Z_BASIS, ensemble=None) -> list
     if g.size == 0:
         return []
     ensemble = pauli_ensemble() if ensemble is None else ensemble
-    f, f_qsp, pair, c2_raw = _score(g, basis, ensemble)
+    f, f_qsp, pair, c2_raw = _score(_checked_gammas(g), basis, ensemble)
     f_m, f_qnd = f.min(axis=-1)
     table = np.stack((g, f_m, f_qnd, f_qsp, pair.k, pair.k_bar, pair.englert_lhs, c2_raw,
                       metrics.c2_from_fqsp(f_qsp)), axis=-1).tolist()  # SWEEP_FIELDS order

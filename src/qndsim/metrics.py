@@ -37,10 +37,7 @@ def _check_range(name: str, v, lo: float) -> None:
     """MetricsError unless every value of ``v`` lies in [lo, 1] within RANGE_ATOL (NaN fails)."""
     v = np.asarray(v)[()]  # a numpy scalar, or an array
     ok = (lo - RANGE_ATOL <= v) & (v <= 1 + RANGE_ATOL)
-    if ok.ndim == 0:
-        if not ok:
-            raise MetricsError(f"{name} = {v} outside [{lo:g}, 1]")
-    elif not ok.all():
+    if not (ok if ok.ndim == 0 else ok.all()):  # .all() would cost a scalar more than its compares
         raise MetricsError(f"{name} = {v[~ok][0]} outside [{lo:g}, 1]")
 
 
@@ -206,8 +203,11 @@ def kraus_figures(m: np.ndarray, basis: BasisSpec) -> tuple[JointDist, Distingui
     stack is heralded). The joint distribution is that of the maximally
     mixed input read in ``basis``; its trace is F_QSP = L. K_bar uses the
     conjugate eigenstates, the columns of ``basis.vectors @ X_BASIS.vectors``.
-    MetricsError if ``m`` is not finite or heralds one of these inputs with probability 0.
+    MetricsError if ``m`` is not of shape (..., 2, 2, 2), is not finite or heralds
+    one of these inputs with probability 0.
     """
+    if np.shape(m)[-3:] != (2, 2, 2):
+        raise MetricsError(f"Kraus stack must have shape (..., 2, 2, 2), got {np.shape(m)}")
     if not np.isfinite(m).all():
         raise MetricsError("Kraus stack has a non-finite entry")
     if not ((np.abs(m @ _outputs(basis)) ** 2).sum(axis=(-3, -2)) > 0).all():

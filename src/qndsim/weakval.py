@@ -23,8 +23,6 @@ from .hilbert import NORM_ATOL, PureState
 
 N_HAT = np.diag([0.0, 1.0]).astype(complex)
 CHUNK_SHOTS = 1 << 16  # shots drawn per step by ``estimate_sampled``; no result depends on it
-EFFECT_ATOL = 1e-12  # entrywise Hermiticity and completeness defect of an effect pair
-PSD_ATOL = 1e-10  # most negative eigenvalue an effect may have
 ORTHOGONAL_ATOL = 1e-12  # |<phi|psi>| at or below which the weak value is undefined
 ZERO_POSTSELECTION = 1e-12  # post-selection probability that counts as zero
 SINGULAR_SCALE = 1e-12  # |2 gamma^2 - 1| below which the meter says nothing about n
@@ -39,47 +37,22 @@ class EmptyPostSelectionError(WeakValueError):
 
 
 @dataclass(frozen=True)
-class PovmPair:
-    """Effect operators {E_0, E_1} of the strength-gamma logical readout."""
-
-    e0: np.ndarray
-    e1: np.ndarray
-
-    def __post_init__(self):
-        for name in ("e0", "e1"):
-            m = np.array(getattr(self, name), dtype=complex)
-            m.setflags(write=False)
-            object.__setattr__(self, name, m)
-            if not (np.abs(m - m.conj().T) <= EFFECT_ATOL).all():
-                raise WeakValueError(f"{name} is not Hermitian")
-            if np.linalg.eigvalsh(m).min() < -PSD_ATOL:
-                raise WeakValueError(f"{name} is not positive semidefinite")
-        if not (np.abs(self.e0 + self.e1 - np.eye(2)) <= EFFECT_ATOL).all():
-            raise WeakValueError("effects do not sum to the identity")
-
-    def probability(self, k: int, psi: PureState) -> float:
-        e = self.e0 if k == 0 else self.e1
-        return float((psi.amps.conj() @ e @ psi.amps).real)
-
-
-@dataclass(frozen=True)
 class WeakValueResult:
-    """A post-selected conditional mean with its provenance."""
+    """A sampled |+>-post-selected mean photon number with its provenance;
+    ``gamma`` is the strength as given."""
 
     value: float
-    post_state_label: str
     gamma: float
-    mode: str  # "analytic" or "sampled"
-    stderr: float = 0.0
-    shots: int = 0
-    seed: int | None = None
+    stderr: float
+    shots: int
+    seed: int
 
     def to_json(self) -> dict:
         return {
             "value": self.value,
-            "post_state": self.post_state_label,
+            "post_state": "+",
             "gamma": self.gamma,
-            "mode": self.mode,
+            "mode": "sampled",
             "stderr": self.stderr,
             "shots": self.shots,
             "seed": self.seed,
@@ -109,13 +82,12 @@ def strong_value_postselected(x: np.ndarray, psi: PureState, phi: PureState) -> 
     return float(np.dot(w, evals.real) / total)
 
 
-def povm(gamma: float) -> PovmPair:
-    """Effects E_k = M_k^dag M_k of the strength-gamma readout, with M_k the
-    Kraus operators of ``cnot_qnd.kraus``; in closed form,
-    2 E_k = 1 - (-1)^k (2g^2-1)(2n-1)."""
+def povm(gamma: float) -> np.ndarray:
+    """Effect stack E[k] = M_k^dag M_k, shape (2, 2, 2), of the strength-gamma
+    readout, with M_k the Kraus operators of ``cnot_qnd.kraus``; in closed
+    form, 2 E_k = 1 - (-1)^k (2g^2-1)(2n-1)."""
     m = cnot_qnd.kraus(cnot_qnd.MeterPrep(gamma))
-    e0, e1 = m.conj().transpose(0, 2, 1) @ m
-    return PovmPair(e0, e1)
+    return m.conj().transpose(0, 2, 1) @ m
 
 
 def postselected_mean_n(
@@ -134,8 +106,7 @@ def postselected_mean_n(
         raise WeakValueError("input amplitudes must be normalized")
     prep = cnot_qnd.MeterPrep(gamma)
     gg = prep.gamma * prep.gamma_bar
-    denom_core = 2.0 * gamma**2 - 1.0
-    if abs(denom_core) < SINGULAR_SCALE:
+    if 2.0 * prep.gamma**2 - 1.0 < SINGULAR_SCALE:
         raise WeakValueError("estimator singular: gamma = 1/sqrt(2) exactly")
     r = (alpha * np.conj(beta)).real
     p_plus = (1.0 + 4.0 * gg * r) / 2.0
@@ -255,12 +226,4 @@ def estimate_sampled(
         stderr = math.sqrt(n * (1.0 - mean * mean) / (n - 1)) / (2.0 * scale * math.sqrt(n))
     else:
         stderr = 0.0
-    return WeakValueResult(
-        value=value,
-        post_state_label="+",
-        gamma=gamma,
-        mode="sampled",
-        stderr=stderr,
-        shots=shots,
-        seed=seed,
-    )
+    return WeakValueResult(value=value, gamma=gamma, stderr=stderr, shots=shots, seed=seed)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qndsim import cnot_qnd as cq
 from qndsim import hilbert as hs
+from qndsim import weakval as wv
 from qndsim.hilbert import BasisSpec, PureState
 
 from oracles import run
@@ -315,6 +316,13 @@ def test_gamma_just_above_one_is_scored_as_one():
         assert (report, pair, c2) == cq.characterize(cq.MeterPrep(1.0), b)
     under = cq.GAMMA_MIN - 5e-13
     assert cq.strength_sweep([under])[0] == dataclasses.replace(cq.strength_sweep([cq.GAMMA_MIN])[0], gamma=under)
+    # the prepared strength is the clipped one, and every weak-value function reads it
+    assert cq.MeterPrep(over) == cq.MeterPrep(1.0)
+    assert np.array_equal(wv.povm(over), wv.povm(1.0))
+    assert wv.postselected_mean_n(0.8, -0.6, over) == wv.postselected_mean_n(0.8, -0.6, 1.0)
+    sampled = wv.estimate_sampled(0.8, -0.6, over, 10**5, 3)
+    # bit-identical to gamma = 1, and echoing the strength as given
+    assert sampled == dataclasses.replace(wv.estimate_sampled(0.8, -0.6, 1.0, 10**5, 3), gamma=over)
 
 
 def test_sweep_rejects_bad_gamma_naming_it():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from qndsim import cnot_qnd as cq
 from qndsim import hilbert as hs
 from qndsim import photonics as ph
-from qndsim import weakval as wv
 from qndsim.cnot_qnd import MeterPrep
 from qndsim.hilbert import BasisSpec, HilbertError, ProbDist, PureState
 from qndsim.metrics import classical_fidelity
@@ -267,8 +266,7 @@ def test_non_unitary_rejected():
         BasisSpec(np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 
-# off-Hermitian by 4e-6, and an identity whose first entry is 4e-6 too long
-SKEWED = np.array([[0.5, 0.45 + 4e-6], [0.45, 0.5]])
+# an identity whose first entry is 4e-6 too long
 STRETCHED = np.diag([1.0 + 4e-6, 1.0])
 
 
@@ -277,15 +275,6 @@ STRETCHED = np.diag([1.0 + 4e-6, 1.0])
     [
         pytest.param(lambda: BasisSpec(STRETCHED), HilbertError, "orthonormal", id="basis"),
         pytest.param(lambda: ph._check_unitary(STRETCHED), ph.PhotonicsError, "unitary", id="circuit"),
-        pytest.param(
-            lambda: wv.PovmPair(SKEWED, np.eye(2) - SKEWED), wv.WeakValueError, "e0", id="povm_effect"
-        ),
-        pytest.param(
-            lambda: wv.PovmPair(np.diag([0.5 + 8e-6, 0.5]), np.diag([0.5, 0.5])),
-            wv.WeakValueError,
-            "identity",
-            id="povm_sum",
-        ),
     ],
 )
 def test_identity_checks_hold_their_absolute_tolerance(build, error, match):

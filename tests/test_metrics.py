@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -311,6 +312,20 @@ def test_kraus_figures_rejects_a_non_finite_stack(bad):
             warnings.simplefilter("error")
             with pytest.raises(MetricsError, match="non-finite"):
                 metrics.kraus_figures(stack, BasisSpec(np.eye(2)))
+
+
+def _misshapen_stacks():
+    m = _cnot_kraus(0.9)
+    three = np.zeros((2, 3, 3), dtype=complex)
+    three[:, :2, :2] = m
+    three[0, 2, 2] = 1.0
+    return [np.concatenate((m, np.eye(2)[None] / 2)), m[:1], m[0], three]
+
+
+@pytest.mark.parametrize("m", _misshapen_stacks(), ids=["three_outcomes", "one_outcome", "matrix", "qutrit"])
+def test_kraus_figures_rejects_a_stack_of_the_wrong_shape(m):
+    with pytest.raises(MetricsError, match=r"shape \(\.\.\., 2, 2, 2\), got " + re.escape(str(m.shape))):
+        metrics.kraus_figures(m, BasisSpec(np.eye(2)))
 
 
 def _reference_probe_statistics(m, basis, probes):

@@ -124,15 +124,16 @@ def test_weak_value_sum_rule():
 
 
 def test_povm_projective_limit():
-    pair = povm(1.0)
-    np.testing.assert_allclose(pair.e0, np.diag([1.0, 0.0]), atol=1e-12)
-    np.testing.assert_allclose(pair.e1, np.diag([0.0, 1.0]), atol=1e-12)
+    e = povm(1.0)
+    assert e.shape == (2, 2, 2)
+    np.testing.assert_allclose(e[0], np.diag([1.0, 0.0]), atol=1e-12)
+    np.testing.assert_allclose(e[1], np.diag([0.0, 1.0]), atol=1e-12)
 
 
 def test_povm_no_information_limit():
-    pair = povm(S)
-    np.testing.assert_allclose(pair.e0, np.eye(2) / 2, atol=1e-12)
-    np.testing.assert_allclose(pair.e1, np.eye(2) / 2, atol=1e-12)
+    e = povm(S)
+    np.testing.assert_allclose(e[0], np.eye(2) / 2, atol=1e-12)
+    np.testing.assert_allclose(e[1], np.eye(2) / 2, atol=1e-12)
 
 
 def closed_form_effect(k, gamma):
@@ -142,10 +143,10 @@ def closed_form_effect(k, gamma):
 
 def test_povm_intermediate_matches_gate_statistics():
     # E_1 = diag(1-g^2, g^2), so the meter reads 1 on |0> with probability 0.36
-    pair = povm(0.8)
-    np.testing.assert_allclose(pair.e1, np.diag([0.36, 0.64]), atol=1e-12)
+    e = povm(0.8)
+    np.testing.assert_allclose(e[1], np.diag([0.36, 0.64]), atol=1e-12)
     expected = (hs.KET0.amps.conj() @ closed_form_effect(1, 0.8) @ hs.KET0.amps).real
-    assert pair.probability(1, hs.KET0) == pytest.approx(expected, abs=1e-12)
+    assert (hs.KET0.amps.conj() @ e[1] @ hs.KET0.amps).real == pytest.approx(expected, abs=1e-12)
 
 
 def test_povm_rejects_gamma():
@@ -159,12 +160,12 @@ def test_povm_consistency_random(seed):
     rng = np.random.default_rng(seed)
     psi = random_qubit(rng)
     for g in rng.uniform(cq.GAMMA_MIN, 1.0, size=20):
-        pair = povm(float(g))
-        for k, e in enumerate((pair.e0, pair.e1)):
+        e = povm(float(g))
+        for k in range(2):
             effect = closed_form_effect(k, g)
-            np.testing.assert_allclose(e, effect, atol=1e-12)
+            np.testing.assert_allclose(e[k], effect, atol=1e-12)
             expected = (psi.amps.conj() @ effect @ psi.amps).real
-            assert pair.probability(k, psi) == pytest.approx(expected, abs=1e-12)
+            assert (psi.amps.conj() @ e[k] @ psi.amps).real == pytest.approx(expected, abs=1e-12)
 
 
 # -------------------------------------------------------- post-selected means
