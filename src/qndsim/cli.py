@@ -192,10 +192,15 @@ def cmd_weak(params: dict) -> dict:
         seed = _number(params["seed"], "seed", int)
         if seed is None:
             raise CliError("seed is required when sampling", "seed")
-        if seed < 0:
-            raise CliError(f"seed must be >= 0, got {seed}", "seed")
-        sampled = _checked("shots", weakval.WeakValueError, weakval.estimate_sampled,
-                           alpha, beta, gamma, shots, seed)
+        for name, value, least in (("shots", shots, 1), ("seed", seed, 0)):
+            if value < least:
+                raise CliError(f"{name} must be >= {least}, got {value}", name)
+        try:
+            sampled = weakval.estimate_sampled(alpha, beta, gamma, shots, seed)
+        except weakval.EmptyPostSelectionError as exc:
+            raise CliError(str(exc), "shots")
+        except weakval.WeakValueError as exc:  # the estimator is singular at this gamma
+            raise CliError(str(exc), "gamma")
         results["sampled"] = sampled.to_json()
     return results
 

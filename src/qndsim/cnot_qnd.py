@@ -51,10 +51,10 @@ class MeterPrep:
     gamma: float
 
     def __post_init__(self):
-        g = _checked_gammas(self.gamma)
-        if g.ndim:
+        g = np.asarray(self.gamma)
+        if g.ndim or g.dtype == bool:
             raise TypeError(f"gamma must be a number, got {self.gamma!r}")
-        object.__setattr__(self, "gamma", float(g))
+        object.__setattr__(self, "gamma", float(_checked_gammas(g)))
 
     @property
     def gamma_bar(self) -> float:

@@ -221,28 +221,33 @@ def _outputs(basis: BasisSpec) -> np.ndarray:
     return np.concatenate((basis.vectors, basis.vectors @ X_BASIS.vectors), axis=1)
 
 
+# the rows (k, block, j, i) of the Born table's basis and conjugate inputs i, with input i
+# in block i // 2: _SUCCESS sums each input's success over its own block, and _FIGURES
+# reads (q00, q01, q10, q11, P_c) off the conditioned table
+_K, _BLOCK, _J, _I = np.indices((2, 2, 2, 4)).reshape(4, -1, 1)
+_SUCCESS = ((_I == np.arange(4)) & (_BLOCK == _I // 2)).astype(float)
+_FIGURES = 0.5 * np.hstack(((_BLOCK == 0) & (_I < 2) & (2 * _J + _K == np.arange(4)),
+                            (_BLOCK == 1) & (_J == _I - 2)))
+
+
 def _read(m: np.ndarray, basis: BasisSpec, probes: np.ndarray | None = None):
     """``kraus_figures`` of ``m``, unchecked and with q a plain array, and the
     unconditioned (p_m, p_out) of the rows of ``probes`` as (2, ...m's batch, n, 2), or None.
 
-    All come from one Born table w[..., k, j, i] = |b_j^dag M_k a_i|^2 over
-    the outputs B = [V | V X] and the inputs A = [B | probes^T]; every sum
-    in it is an in-order slice add.
+    All come from one Born table w[..., k, j, i] = |b_j^dag M_k a_i|^2 over the outputs
+    B = [V | V X] and the inputs A = [B | probes^T], one product of the flattened M_k with
+    S[(o, n), (j, i)] = conj(B[o, j]) A[n, i]. The figures are read off it through the
+    constant matrices _SUCCESS and _FIGURES, the probes' sums as in-order slice adds.
     """
     b = _outputs(basis)
     a = b if probes is None else np.concatenate((b, probes.T), axis=1)
-    bhm = _matmul_last(m.swapaxes(-2, -1), b.conj()).swapaxes(-2, -1)  # (M^T B^*)^T
-    w = np.abs(_matmul_last(bhm, a)) ** 2
-    w = w.reshape(w.shape[:-2] + (2, 2, a.shape[1]))  # [..., k, block, j, i]
-    # each basis input conditioned on success: divided by its block's sum over (k, j),
-    # added in the order of numpy's reduction, ((w00 + w01) + w10) + w11
-    t = w[..., :4]
-    s = t[..., 0, :, 0, :] + t[..., 0, :, 1, :] + t[..., 1, :, 0, :] + t[..., 1, :, 1, :]  # [..., block, i]
-    c = t / s[..., None, :, None, :]
-    q = 0.5 * (c[..., 0, :, 0] + c[..., 0, :, 1]).swapaxes(-2, -1)  # maximally mixed input over V
-    hits = c[..., 0, 1, :, 2:] + c[..., 1, 1, :, 2:]  # [..., j, i] over the conjugate block
-    p_c = 0.5 * (hits[..., 0, 0] + hits[..., 1, 1])
-    pair = distinguishability(q[..., 0, 0] + q[..., 1, 1], p_c)
+    amps = m.reshape(-1, 4) @ (b.conj()[:, None, :, None] * a[:, None, :]).reshape(4, -1)
+    w = (np.abs(amps) ** 2).reshape(m.shape[:-2] + (2, 2, a.shape[1]))  # [..., k, block, j, i]
+    t = w[..., :4].reshape(-1, 8, 4)
+    c = (t / (t.reshape(-1, 32) @ _SUCCESS)[:, None]).reshape(-1, 32)  # conditioned on success
+    f = (c @ _FIGURES).reshape(m.shape[:-3] + (5,))
+    q = f[..., :4].reshape(f.shape[:-1] + (2, 2))  # q[..., j, k]: the maximally mixed input over V
+    pair = distinguishability(q[..., 0, 0] + q[..., 1, 1], f[..., 4])
     if probes is None:
         return q, pair, None
     u = w[..., 0, :, 4:]  # [..., k, j, probe] over the V outputs

@@ -9,8 +9,11 @@ beamsplitter into an explicit dump mode, so the full mode transformation
 stays unitary and "no photon in the dump" is a literal pattern constraint.
 
 ``run_gate`` and ``heralded_kraus`` read the gate off one cached pair map
-per (eta, loss), the 2x2 permanents of a mode unitary checked on every gate
-built. The polarization qubits index H as 0 and V as 1.
+per (eta, loss), the 2x2 permanents of its mode unitary. The unitary is
+U_0 + sqrt(eta) U_r + sqrt(1 - eta) U_t, so each pair map is built as one
+product of the six monomials in sqrt(eta) and sqrt(1 - eta) with six terms
+computed at import, where the unitarity of every U(eta) is checked once.
+The polarization qubits index H as 0 and V as 1.
 
 Sign conventions: the eta-beamsplitter follows the Heisenberg relations
 s_Ho = sqrt(eta) s_H + sqrt(1-eta) m_H, m_Ho = sqrt(1-eta) s_H -
@@ -34,7 +37,7 @@ from .hilbert import NORM_ATOL, Z_BASIS, PureState
 A_MAX = math.sqrt(3.0) / 2.0
 A_MAX_ATOL = 1e-12  # strength a accepted up to A_MAX + A_MAX_ATOL, then clipped to A_MAX
 UNITARY_ATOL = 1e-12  # largest entry of |U^dag U - 1| accepted as unitary
-CIRCUIT_CACHE_SIZE = 8  # pair maps of checked gates kept, one per (eta, include_signal_loss)
+CIRCUIT_CACHE_SIZE = 8  # pair maps kept, one per (eta, include_signal_loss)
 _SIG, _MET = slice(0, 2), slice(2, 4)  # the gate's signal and meter modes
 _NOT_QUBITS = "signal and meter must be single-photon polarization qubits"
 
@@ -100,52 +103,63 @@ def _check_eta(eta) -> float:
 
 
 def _check_unitary(u: np.ndarray) -> None:
-    eye = _IDENTITY[len(u)] if len(u) in _IDENTITY else np.eye(len(u))
-    if not (np.abs(u.conj().T @ u - eye) <= UNITARY_ATOL).all():  # NaN fails too
+    if not (np.abs(u.conj().T @ u - np.eye(len(u))) <= UNITARY_ATOL).all():  # NaN fails too
         raise PhotonicsError("mode matrix is not unitary")
 
 
 def _gate_constants(loss: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The gate's U with the eta-BS block left at 0, on the modes s_H 0, s_V 1, m_H 2,
-    m_V 3 (dump_s 4), and the (4, n^2) weights that sum |Phi[y, z]|^2 into success,
-    both_in_signal, both_in_meter and dump; each pattern appears as (y, z) and (z, y)."""
+    """The parts (U_0, U_r, U_t) of the gate's U(eta) = U_0 + sqrt(eta) U_r + sqrt(1 - eta) U_t
+    on the modes s_H 0, s_V 1, m_H 2, m_V 3 (dump_s 4), and the (4, n^2) weights that sum
+    |Phi[y, z]|^2 into success, both_in_signal, both_in_meter and dump; each pattern appears
+    as (y, z) and (z, y)."""
     n = 4 + loss
-    u = np.diag([0.0, 1.0, 0.0, 1.0, 1.0][:n]).astype(complex)
+    parts = np.zeros((3, n, n), complex)
+    parts[0] = np.diag([0.0, 1.0, 0.0, 1.0, 1.0][:n])
     if loss:
-        u[1:5:3, 1:5:3] = bs_matrix(1.0 / 3.0)
-    u[_MET] = HWP @ u[_MET]
+        parts[0, 1:5:3, 1:5:3] = bs_matrix(1.0 / 3.0)
+    parts[1, 0, 0] = parts[2, 0, 2] = parts[2, 2, 0] = 1.0  # the eta-BS rows (r, t) of s_H
+    parts[1, 2, 2] = -1.0  # and (t, -r) of m_H, which the HWP then splits
+    parts[:, _MET] = HWP @ parts[:, _MET]
     c = [0, 0, 1, 1, 3][:n]  # mode class: signal 0, meter 1, dump 3
     pair = [cy + cz for cy in c for cz in c]  # 1 success, 0 and 2 both in one arm, >= 3 dump
-    return u, 0.5 * np.array([[p == 1, p == 0, p == 2, p >= 3] for p in pair], dtype=float).T
+    return parts, 0.5 * np.array([[p == 1, p == 0, p == 2, p >= 3] for p in pair], dtype=float).T
 
 
-def _mode_unitary(eta: float, loss: bool) -> np.ndarray:
-    # the eta-BS rows (r, t) of s_H and (t, -r) of m_H, the latter split by the HWP
-    r, t = math.sqrt(eta), math.sqrt(1.0 - eta)
-    u = _GATE[loss][0].copy()
-    u[0, 0], u[0, 2] = r, t
-    u[2:4, 0], u[2:4, 2] = HWP[0, 0] * t, HWP[0, 0] * -r
-    return u
+def _mode_unitary(eta: float, parts: np.ndarray) -> np.ndarray:
+    return parts[0] + math.sqrt(eta) * parts[1] + math.sqrt(1.0 - eta) * parts[2]
+
+
+def _pair_terms(parts: np.ndarray) -> np.ndarray:
+    """The (6, 4 n^2 + 16) terms T_m of ``_pair_map``'s A and heralded rows, flattened side
+    by side: both are sum_m c_m T_m over c = (1, r, t, r^2, r t, t^2), r = sqrt(eta) and
+    t = sqrt(1 - eta), being bilinear in U = U_0 + r U_r + t U_t. PhotonicsError unless
+    U(eta) is unitary at five eta: in theta = arccos r, each entry of U^dag U - 1 is a
+    trigonometric polynomial of degree <= 2, a space of dimension 5, so one that vanishes
+    at five distinct theta vanishes at every eta."""
+    for eta in (0.1, 0.3, 0.5, 0.7, 0.9):
+        _check_unitary(_mode_unitary(eta, parts))
+    t = parts[:, None, :, None, _SIG, None] * parts[None, :, None, :, None, _MET]
+    t = t + t.transpose(0, 1, 3, 2, 4, 5)  # [a, b, y, z, i, j] = P_a[y, i] P_b[z, 2+j] + (y <-> z)
+    a, b = np.triu_indices(3)  # the monomials 1, r, t, r^2, r t, t^2 as part pairs
+    t = (t + t.swapaxes(0, 1))[a, b] * np.where(a == b, 0.5, 1.0)[:, None, None, None, None]
+    herald = t[:, _SIG, _MET].transpose(0, 2, 1, 3, 4)
+    return np.concatenate((t.reshape(6, -1), herald.reshape(6, -1)), axis=1)
 
 
 _GATE = {loss: _gate_constants(loss) for loss in (False, True)}
-_IDENTITY = {n: np.eye(n) for n in (4, 5)}
+_TERMS = {loss: _pair_terms(_GATE[loss][0]) for loss in (False, True)}
 
 
 @functools.lru_cache(maxsize=CIRCUIT_CACHE_SIZE)
 def _pair_map(eta: float, loss: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(A, its heralded rows as [meter k, signal i', signal i, meter j], class
-    weights) of one unitarity-checked gate. A[y n + z, 2 i + j] = U[y, i] U[z, 2 + j]
-    + U[z, i] U[y, 2 + j] sends the input amplitudes s_i m_j to Phi[y, z], the
-    amplitude of one photon in each of the modes y != z, sqrt(2) times that of two in y = z."""
-    u = _mode_unitary(eta, loss)
-    _check_unitary(u)
-    t = u[:, None, _SIG, None] * u[None, :, None, _MET]  # t[y, z, i, j] = U[y, i] U[z, 2 + j]
-    t = t + t.transpose(1, 0, 2, 3)
-    herald = t[_SIG, _MET].transpose(1, 0, 2, 3).copy()
-    for arr in (t, herald):
-        arr.setflags(write=False)
-    return t.reshape(-1, 4), herald, _GATE[loss][1]
+    weights) of one gate. A[y n + z, 2 i + j] = U[y, i] U[z, 2 + j] + U[z, i] U[y, 2 + j]
+    sends the input amplitudes s_i m_j to Phi[y, z], the amplitude of one photon in each
+    of the modes y != z, sqrt(2) times that of two in y = z."""
+    r, t = math.sqrt(eta), math.sqrt(1.0 - eta)
+    maps = np.array([1.0, r, t, r * r, r * t, t * t]) @ _TERMS[loss]
+    maps.setflags(write=False)
+    return maps[:-16].reshape(-1, 4), maps[-16:].reshape(2, 2, 2, 2), _GATE[loss][1]
 
 
 @dataclass(frozen=True)

@@ -100,14 +100,13 @@ def postselected_mean_n(
     P(+/-) = (1 +/- 4 gg r)/2 and <+/-><n> = (|beta|^2 +/- 2 gg r)/(2 P(+/-)).
     The printed form has Re[alpha beta] in P(+/-); the two coincide for
     real amplitudes, but only Re[alpha beta*] is invariant under a global
-    phase. Satisfies P(+) <+><n> + P(-) <-><n> = |beta|^2.
+    phase. Satisfies P(+) <+><n> + P(-) <-><n> = |beta|^2. At gamma = 1/sqrt(2),
+    where the meter says nothing, they are the weak values of n for |+> and |->.
     """
     if not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= NORM_ATOL:  # NaN fails too
         raise WeakValueError("input amplitudes must be normalized")
     prep = cnot_qnd.MeterPrep(gamma)
     gg = prep.gamma * prep.gamma_bar
-    if 2.0 * prep.gamma**2 - 1.0 < SINGULAR_SCALE:
-        raise WeakValueError("estimator singular: gamma = 1/sqrt(2) exactly")
     r = (alpha * np.conj(beta)).real
     p_plus = (1.0 + 4.0 * gg * r) / 2.0
     p_minus = (1.0 - 4.0 * gg * r) / 2.0

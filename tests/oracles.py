@@ -5,10 +5,12 @@ outcome statistics and post-measurement branches off its Kraus stack
 (``cnot_qnd.kraus``), in plain numpy.
 
 The library reads the heralded optical gate off the 2x2 permanents of its
-mode unitary (``photonics._pair_map``). The rest of this module expands the
-same gate the long way: two photons as a map from mode occupation pattern
-to amplitude, pushed through the mode unitary monomial by monomial. The
-tests compare the library's gate against it, and it against an explicit
+mode unitary (``photonics._pair_map``), summed from terms computed at
+import. ``pair_map`` builds the same permanents straight from the mode
+unitary at one eta. The rest of this module expands the same gate the long
+way: two photons as a map from mode occupation pattern to amplitude, pushed
+through the mode unitary monomial by monomial. The tests compare the
+library's gate against both, and the expansion against an explicit
 permanent sum.
 """
 
@@ -23,7 +25,22 @@ import numpy as np
 from qndsim import cnot_qnd as cq
 from qndsim import hilbert as hs
 from qndsim.hilbert import NORM_ATOL, PureState
-from qndsim.photonics import PhotonicsError, _check_eta, _check_unitary, _mode_unitary
+from qndsim.photonics import (_GATE, _MET, _SIG, PhotonicsError, _check_eta, _check_unitary,
+                              _mode_unitary)
+
+
+def mode_unitary(eta, loss):
+    """The gate's mode unitary at reflectivity ``eta``, with or without the balancing loss."""
+    return _mode_unitary(eta, _GATE[loss][0])
+
+
+def pair_map(eta, loss):
+    """(A, heralded rows) of ``photonics._pair_map`` from U(eta) directly:
+    t[y, z, i, j] = U[y, i] U[z, 2 + j] + U[z, i] U[y, 2 + j]."""
+    u = mode_unitary(eta, loss)
+    t = u[:, None, _SIG, None] * u[None, :, None, _MET]
+    t = t + t.transpose(1, 0, 2, 3)
+    return t.reshape(-1, 4), t[_SIG, _MET].transpose(1, 0, 2, 3)
 
 
 Run = collections.namedtuple("Run", "joint rho_s rho_m p_in p_out p_m conditional")
@@ -151,7 +168,7 @@ def build_qnd_circuit(
     elements.append({"kind": "half_wave_plate", "modes": ("m_H", "m_V"), "angle_deg": 22.5})
     layout = ModeLayout(names)
     elements = tuple(tuple(e.items()) for e in elements)
-    return layout, LinearCircuit(layout, _mode_unitary(eta, loss), elements)
+    return layout, LinearCircuit(layout, mode_unitary(eta, loss), elements)
 
 
 def lift_two_photon(circuit: LinearCircuit, state: FockState) -> FockState:

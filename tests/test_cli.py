@@ -151,6 +151,16 @@ def test_weak_sampled_rejects_shots(capsys):
     assert json.loads(err)["field"] == "shots"
 
 
+def test_weak_at_gamma_min(capsys):
+    weak = ("weak", "--alpha", "0.8", "--beta", "-0.6", "--gamma", "0.7071067811865476")
+    code, out, _ = run_cli(capsys, *weak, "--analytic")
+    assert code == 0
+    assert json.loads(out)["results"]["analytic"]["plus_value"] == pytest.approx(-3.0, abs=1e-12)
+    code, out, err = run_cli(capsys, *weak, "--shots", "1000", "--seed", "1")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["field"] == "gamma"
+
+
 def test_weak_sampled_rejects_negative_seed(capsys):
     code, _, err = run_cli(
         capsys, "weak", "--alpha", "0.8", "--beta", "-0.6", "--gamma", "0.8",

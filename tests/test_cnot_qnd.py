@@ -85,6 +85,12 @@ def test_meter_prep_rejects_out_of_range():
         cq.MeterPrep(1.01)
 
 
+@pytest.mark.parametrize("gamma", [True, np.True_, np.array(True), np.array([0.8]), [0.8]])
+def test_meter_prep_rejects_a_bool_or_an_array(gamma):
+    with pytest.raises(TypeError, match="gamma must be a number"):
+        cq.MeterPrep(gamma)
+
+
 # ---------------------------------------------------------------------- run
 
 

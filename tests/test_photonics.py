@@ -22,7 +22,7 @@ from qndsim.photonics import (
     run_gate,
 )
 
-from oracles import FockState, LinearCircuit, ModeLayout, build_qnd_circuit, lift_two_photon, two_photon_input
+from oracles import FockState, LinearCircuit, ModeLayout, build_qnd_circuit, lift_two_photon, pair_map, two_photon_input
 
 ETA = 1.0 / 3.0
 H = PureState((2,), [1, 0])
@@ -216,6 +216,25 @@ def test_gate_cache_eviction_changes_no_value():
     info = ph._pair_map.cache_info()
     assert info.currsize == ph.CIRCUIT_CACHE_SIZE and info.hits >= len(order)
     assert info.misses > len(etas)  # some gates were evicted and built again
+
+
+def test_pair_map_matches_the_permanents_of_the_mode_unitary():
+    etas = np.random.default_rng(53).uniform(0.0, 1.0, 1000).tolist() + [1 / 3, 1e-9, 1 - 1e-9]
+    for loss in (False, True):
+        for eta in etas:
+            a, herald, _ = ph._pair_map(eta, loss)
+            want_a, want_herald = pair_map(eta, loss)
+            assert np.abs(a - want_a).max() <= 1e-15 and np.abs(herald - want_herald).max() <= 1e-15
+
+
+@pytest.mark.parametrize("loss", [False, True])
+@pytest.mark.parametrize("part, entry", [(1, (0, 0)), (1, (2, 2)), (2, (3, 0)), (0, (1, 1))])
+def test_gate_terms_reject_a_corrupted_part(loss, part, entry):
+    ph._pair_terms(ph._GATE[loss][0])  # the parts as built pass
+    parts = ph._GATE[loss][0].copy()
+    parts[(part,) + entry] *= -1.0 if part else 0.5
+    with pytest.raises(PhotonicsError, match="not unitary"):
+        ph._pair_terms(parts)
 
 
 def test_circuit_json():

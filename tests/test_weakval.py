@@ -187,9 +187,24 @@ def test_weak_limit_recovers_weak_value():
     assert plus == pytest.approx(-3.0, abs=1e-5)
 
 
-def test_singular_at_gamma_min():
-    with pytest.raises(WeakValueError):
-        postselected_mean_n(0.8, -0.6, cq.GAMMA_MIN)
+def test_gamma_min_gives_the_weak_values():
+    # the meter says nothing at gamma = 1/sqrt(2): the post-selected means are the weak values;
+    # inputs near |+-> orthogonal are skipped, where both lose digits as 1/|<+-|psi>|^2
+    rng = np.random.default_rng(47)
+    for _ in range(200):
+        psi = random_qubit(rng, real=True)
+        if min(abs(psi.overlap(hs.PLUS)), abs(psi.overlap(hs.MINUS))) ** 2 < 0.05:
+            continue
+        alpha, beta = psi.amps.real
+        plus, minus, _ = postselected_mean_n(alpha, beta, cq.GAMMA_MIN)
+        assert abs(plus - weak_value(N_HAT, psi, hs.PLUS)) <= 1e-12
+        assert abs(minus - weak_value(N_HAT, psi, hs.MINUS)) <= 1e-12
+    assert postselected_mean_n(0.8, -0.6, cq.GAMMA_MIN)[0] == pytest.approx(-3.0, abs=1e-12)
+
+
+def test_sampled_estimator_singular_at_gamma_min():
+    with pytest.raises(WeakValueError, match="singular"):
+        estimate_sampled(0.8, -0.6, cq.GAMMA_MIN, 100, 1)
 
 
 def test_postselected_mean_matches_brute_force_conditional():
