@@ -19,7 +19,6 @@ PROB_ATOL = 1e-10
 PROB_CLAMP = 1e-12
 ZERO_NORM = 1e-14  # amplitudes of a smaller norm are the zero vector, which has no state
 ORTHONORMAL_ATOL = 1e-10  # largest entry of |V^dag V - 1| accepted for a basis
-PHASE_ATOL = 1e-10  # states whose |overlap| lies within this of 1 are equal up to phase
 SHORT_AXIS = 8  # longest last axis that _sum_last adds slice by slice; longer ones use pairwise sums
 
 
@@ -63,29 +62,20 @@ class PureState:
 
     @classmethod
     def from_amplitudes(cls, amps, dims=None) -> "PureState":
-        """Build a state from (possibly unnormalized) amplitudes."""
-        a = np.asarray(amps, dtype=complex).ravel()
+        """Build a state from (possibly unnormalized) amplitudes. They are first scaled
+        by the power of two that brings their largest real or imaginary part into
+        [1/2, 1), which is exact and keeps the norm from overflowing."""
+        parts = np.asarray(amps, dtype=complex).ravel().view(float)
+        if not np.isfinite(parts).all():
+            raise HilbertError("non-finite amplitude")
+        e = math.frexp(np.abs(parts).max(initial=0.0))[1]
+        a = np.ldexp(parts, -e).view(complex)
         n = np.linalg.norm(a)
-        if n < ZERO_NORM:
+        if math.ldexp(n, min(e, 0)) < ZERO_NORM:
             raise HilbertError("cannot normalize the zero vector")
         if dims is None:
             dims = (a.size,)
         return cls(tuple(dims), a / n)
-
-    @classmethod
-    def basis_state(cls, dims, index: int) -> "PureState":
-        dims = tuple(dims)
-        a = np.zeros(math.prod(dims), dtype=complex)
-        a[index] = 1.0
-        return cls(dims, a)
-
-    def overlap(self, other: "PureState") -> complex:
-        if self.dim != other.dim:
-            raise HilbertError("dimension mismatch in overlap")
-        return complex(np.vdot(self.amps, other.amps))
-
-    def equal_up_to_phase(self, other: "PureState", atol: float = PHASE_ATOL) -> bool:
-        return abs(abs(self.overlap(other)) - 1.0) <= atol
 
     def to_json(self) -> dict:
         return {
@@ -124,15 +114,8 @@ class BasisSpec:
     def dim(self) -> int:
         return self.vectors.shape[0]
 
-    def state(self, i: int) -> PureState:
-        return PureState((self.dim,), self.vectors[:, i])
 
-    @classmethod
-    def computational(cls, d: int) -> "BasisSpec":
-        return cls(np.eye(d))
-
-
-Z_BASIS = BasisSpec.computational(2)
+Z_BASIS = BasisSpec(np.eye(2))
 X_BASIS = BasisSpec(np.array([[1, 1], [1, -1]]) / math.sqrt(2))
 Y_BASIS = BasisSpec(np.array([[1, 1], [1j, -1j]]) / math.sqrt(2))
 
@@ -174,12 +157,6 @@ class ProbDist:
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
 
-    def __len__(self) -> int:
-        return self.p.size
-
-    def __getitem__(self, i: int) -> float:
-        return float(self.p[i])
-
     @classmethod
     def from_weights(cls, weights) -> "ProbDist":
         """Normalize nonnegative weights (e.g. raw counts) into a distribution."""
@@ -190,6 +167,3 @@ class ProbDist:
         if not 0 < total < math.inf:
             raise HilbertError(f"weights must have a finite, positive sum, got {total}")
         return cls(w / total)
-
-    def to_json(self) -> list:
-        return self.p.tolist()

@@ -22,7 +22,6 @@ import numpy as np
 
 from .hilbert import X_BASIS, BasisSpec, ProbDist, _sum_last, checked_probabilities
 
-SATURATION_ATOL = 1e-9
 RANGE_ATOL = 1e-12  # a figure of merit accepted this far outside its range, e.g. [0, 1]
 DEGENERATE_MOMENT = 1e-24  # <O_A^2><O_B^2> below this: an observable is zero, C^2 undefined
 _PLUS_MINUS = np.array([1.0, -1.0])  # eigenvalues of the qubit observables kraus_figures reads
@@ -127,11 +126,6 @@ class DistinguishabilityPair:
     @property
     def englert_lhs(self) -> float:
         return self.k**2 + self.k_bar**2
-
-    @property
-    def saturated(self) -> bool:
-        """True iff the complementarity bound k^2 + k_bar^2 <= 1 is tight."""
-        return abs(self.englert_lhs - 1.0) < SATURATION_ATOL
 
 
 def distinguishability(likelihood: float, p_c: float) -> DistinguishabilityPair:

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import metrics
 from .cnot_qnd import ZERO_BRANCH
-from .hilbert import NORM_ATOL, Z_BASIS, PureState
+from .hilbert import Z_BASIS, PureState
 
 A_MAX = math.sqrt(3.0) / 2.0
 A_MAX_ATOL = 1e-12  # strength a accepted up to A_MAX + A_MAX_ATOL, then clipped to A_MAX
@@ -224,20 +224,6 @@ def run_gate(
         joint = phi.reshape(4 + loss, -1)[_SIG, _MET]
         conditional = PureState((2, 2), joint / math.sqrt(success))
     return CoincidenceResult(success, conditional, failures)
-
-
-def analytic_success(alpha: complex, beta: complex, include_signal_loss: bool = False) -> float:
-    """Closed-form success probability at eta = 1/3 with meter |D(1/3)>.
-
-    (|alpha|^2 + 3 |beta|^2)/6 without the balancing loss; 1/6 for every
-    input once the 2/3 loss on s_V is included.
-    """
-    n = abs(alpha) ** 2 + abs(beta) ** 2
-    if not abs(n - 1.0) <= NORM_ATOL:  # a NaN amplitude fails too
-        raise PhotonicsError("input amplitudes must be normalized")
-    if include_signal_loss:
-        return 1.0 / 6.0
-    return (abs(alpha) ** 2 + 3.0 * abs(beta) ** 2) / 6.0
 
 
 def strength_distinguishability(a: float, eta: float = 1.0 / 3.0):

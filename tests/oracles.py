@@ -11,7 +11,8 @@ unitary at one eta. The rest of this module expands the same gate the long
 way: two photons as a map from mode occupation pattern to amplitude, pushed
 through the mode unitary monomial by monomial. The tests compare the
 library's gate against both, and the expansion against an explicit
-permanent sum.
+permanent sum. ``analytic_success`` is the gate's closed-form heralding
+probability at eta = 1/3.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from qndsim.hilbert import NORM_ATOL, PureState
 from qndsim.photonics import (_GATE, _MET, _SIG, PhotonicsError, _check_eta, _check_unitary,
                               _mode_unitary)
 
+PHASE_ATOL = 1e-10  # states whose |overlap| lies within this of 1 are equal up to phase
+
 
 def mode_unitary(eta, loss):
     """The gate's mode unitary at reflectivity ``eta``, with or without the balancing loss."""
@@ -41,6 +44,20 @@ def pair_map(eta, loss):
     t = u[:, None, _SIG, None] * u[None, :, None, _MET]
     t = t + t.transpose(1, 0, 2, 3)
     return t.reshape(-1, 4), t[_SIG, _MET].transpose(1, 0, 2, 3)
+
+
+def analytic_success(alpha: complex, beta: complex, include_signal_loss: bool = False) -> float:
+    """Closed-form success probability at eta = 1/3 with meter |D(1/3)>.
+
+    (|alpha|^2 + 3 |beta|^2)/6 without the balancing loss; 1/6 for every
+    input once the 2/3 loss on s_V is included.
+    """
+    n = abs(alpha) ** 2 + abs(beta) ** 2
+    if not abs(n - 1.0) <= NORM_ATOL:  # a NaN amplitude fails too
+        raise PhotonicsError("input amplitudes must be normalized")
+    if include_signal_loss:
+        return 1.0 / 6.0
+    return (abs(alpha) ** 2 + 3.0 * abs(beta) ** 2) / 6.0
 
 
 Run = collections.namedtuple("Run", "joint rho_s rho_m p_in p_out p_m conditional")

@@ -1,9 +1,11 @@
 import json
 import math
+import tracemalloc
+import warnings
 
 import pytest
 
-from qndsim.cli import main
+from qndsim.cli import GAMMA_POINTS_MAX, main
 
 
 def run_cli(capsys, *argv):
@@ -75,6 +77,20 @@ def test_cnot_sweep_single_gamma_csv(capsys, tmp_path):
     assert values["f_qsp"] == pytest.approx(1.0)
 
 
+def test_cnot_sweep_bounds_gamma_points_before_building_the_grid(capsys):
+    # a grid one point over the bound would hold about 3 MB of floats; none is built
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "cnot-sweep", "--gamma-points", str(GAMMA_POINTS_MAX + 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["field"] == "gamma_points"
+    assert peak < 1_000_000
+
+
 def test_cnot_sweep_rejects_gamma(capsys):
     code, _, err = run_cli(capsys, "cnot-sweep", "--gamma", "0.5")
     assert code != 0
@@ -96,6 +112,15 @@ def test_optics_horizontal(capsys):
     results = json.loads(out)["results"]
     assert results["success_prob"] == pytest.approx(1 / 6, abs=1e-9)
     assert results["c2"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_optics_accepts_huge_amplitudes(capsys):
+    # |alpha|^2 overflows a float; the signal is still |H> to within 1e-300, and no warning is raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, _ = run_cli(capsys, "optics", "--alpha=-1e300", "--beta", "0.866")
+    assert code == 0
+    assert json.loads(out)["results"]["success_prob"] == pytest.approx(1 / 6, abs=1e-12)
 
 
 def test_optics_strength_zero_uncorrelated(capsys):

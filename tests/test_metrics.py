@@ -76,7 +76,7 @@ def test_distinguishability_projective():
     assert pair.k == pytest.approx(1.0)
     assert pair.k_bar == pytest.approx(0.0)
     assert pair.englert_lhs == pytest.approx(1.0)
-    assert pair.saturated
+    assert abs(pair.englert_lhs - 1.0) < 1e-9
 
 
 def test_distinguishability_intermediate():
@@ -93,7 +93,7 @@ def test_distinguishability_off():
     assert pair.k == pytest.approx(0.0)
     assert pair.k_bar == pytest.approx(0.0)
     assert pair.englert_lhs == pytest.approx(0.0)
-    assert not pair.saturated
+    assert not abs(pair.englert_lhs - 1.0) < 1e-9
 
 
 def test_distinguishability_rejects_out_of_range():

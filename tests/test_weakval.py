@@ -193,7 +193,7 @@ def test_gamma_min_gives_the_weak_values():
     rng = np.random.default_rng(47)
     for _ in range(200):
         psi = random_qubit(rng, real=True)
-        if min(abs(psi.overlap(hs.PLUS)), abs(psi.overlap(hs.MINUS))) ** 2 < 0.05:
+        if min(abs(np.vdot(psi.amps, hs.PLUS.amps)), abs(np.vdot(psi.amps, hs.MINUS.amps))) ** 2 < 0.05:
             continue
         alpha, beta = psi.amps.real
         plus, minus, _ = postselected_mean_n(alpha, beta, cq.GAMMA_MIN)
