@@ -159,10 +159,13 @@ class ProbDist:
 
     @classmethod
     def from_weights(cls, weights) -> "ProbDist":
-        """Normalize nonnegative weights (e.g. raw counts) into a distribution."""
+        """Normalize nonnegative weights (e.g. raw counts) into a distribution. As in
+        ``PureState.from_amplitudes``, they are first scaled by the power of two that
+        brings the largest into [1/2, 1), which is exact and keeps the sum from overflowing."""
         w = np.asarray(weights, dtype=float).ravel()
         if w.min(initial=0.0) < 0:  # empty weights fail the sum check
             raise HilbertError("weights must be nonnegative")
+        w = np.ldexp(w, -math.frexp(w.max(initial=0.0))[1])  # a NaN or inf max leaves w as it is
         total = w.sum()
         if not 0 < total < math.inf:
             raise HilbertError(f"weights must have a finite, positive sum, got {total}")

@@ -1,21 +1,16 @@
 """Figures of merit for QND measurement devices.
 
 Classical fidelity, the measurement, QND and QSP fidelities, the
-distinguishability pair with the Englert trade-off, a two-observable
-correlation function and closed-form CV bridges. Outside input is checked
-where it enters and not again: ``kraus_figures`` is the public, checked
-reader of a Kraus stack, and the scorers read the plain arrays of the
-internal ``_read`` through the unchecked ``_fidelities`` and ``_c2``.
-
-The CV conditional variance V_{s|m} and the uncertainty product
-V_{s|m} * V_conj >= 1 require Gaussian-state simulation and are out of
-scope here; the two fidelity bridges are untested transcriptions of the
-paper's CV section, which no independent CV model checks.
+distinguishability pair with the Englert trade-off and the signal-meter
+correlation C^2 of two discrete observables, each checked in the tests
+against an independent computation. Outside input is checked where it
+enters and not again: ``kraus_figures`` is the public, checked reader of a
+Kraus stack, and the scorers read the plain arrays of the internal
+``_read`` through the unchecked ``_fidelities`` and ``_c2``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,6 +150,9 @@ class JointDist:
         eb = np.asarray(self.eigvals_b, dtype=float).ravel()
         if q.shape[-2:] != (ea.size, eb.size):
             raise MetricsError("joint matrix shape must match eigenvalue lists")
+        for name, e in (("eigvals_a", ea), ("eigvals_b", eb)):
+            if not np.isfinite(e).all():
+                raise MetricsError(f"{name} must be finite, got {e.tolist()}")
         q = checked_probabilities(q.reshape(q.shape[:-2] + (-1,))).reshape(q.shape)
         for arr in (q, ea, eb):
             arr.setflags(write=False)
@@ -163,24 +161,16 @@ class JointDist:
         object.__setattr__(self, "eigvals_b", eb)
 
 
-def correlation_c2(joint: JointDist, subtract_mean: bool = False) -> float:
-    """Symmetrized squared correlation |<O_A O_B>|^2 / (<O_A^2><O_B^2>).
-
-    With ``subtract_mean`` the observables are first centered
-    (O -> O - <O>), the convention used for CV quadrature fluctuations;
-    the default uses the raw observables, matching the qubit Z form.
-    A batched ``joint`` gives one value per distribution.
-    """
-    return _c2(joint.q, joint.eigvals_a, joint.eigvals_b, subtract_mean)
+def correlation_c2(joint: JointDist) -> float:
+    """The paper's C^2 = |<O_A O_B>|^2 / (<O_A^2><O_B^2>) of the raw observables,
+    with any real eigenvalues. A batched ``joint`` gives one value per distribution."""
+    return _c2(joint.q, joint.eigvals_a, joint.eigvals_b)
 
 
-def _c2(q: np.ndarray, a=_PLUS_MINUS, b=_PLUS_MINUS, subtract_mean: bool = False) -> np.ndarray:
+def _c2(q: np.ndarray, a=_PLUS_MINUS, b=_PLUS_MINUS) -> np.ndarray:
     """``correlation_c2`` of the joint table ``q`` with eigenvalues ``a``, ``b``, unchecked."""
     pa = _sum_last(q)
     pb = _sum_last(q.swapaxes(-2, -1))
-    if subtract_mean:
-        a = a - _sum_last(pa * a)[..., None]
-        b = b - _sum_last(pb * b)[..., None]
     corr = _sum_last(_sum_last((a[..., :, None] * q).swapaxes(-2, -1)) * b)
     denom = _sum_last(pa * a**2) * _sum_last(pb * b**2)
     if np.any(denom < DEGENERATE_MOMENT):
@@ -256,25 +246,3 @@ def c2_from_fqsp(f_qsp: float) -> float:
     caller may interpret as anti-correlation.
     """
     return 2.0 * f_qsp - 1.0
-
-
-def fm_from_tm(t_m: float) -> float:
-    """Measurement fidelity from the meter signal-transfer coefficient.
-
-    F_M = sqrt(2 T_M / (1 + T_M)), monotone increasing in T_M. The value
-    is a fidelity (<= 1) for T_M <= 1; quantum-enhanced transfer T > 1
-    pushes the expression above 1 and is reported as-is. Untested: a
-    transcription of the paper's CV section.
-    """
-    if t_m < 0:
-        raise MetricsError(f"transfer coefficient must be >= 0, got {t_m}")
-    return math.sqrt(2.0 * t_m / (1.0 + t_m))
-
-
-def fqnd_from_ts(t_s: float) -> float:
-    """QND fidelity from the signal transfer coefficient: sqrt(2 T_S/(1+T_S));
-    untested, a transcription of the paper's CV section."""
-    if t_s < 0:
-        raise MetricsError(f"transfer coefficient must be >= 0, got {t_s}")
-    return math.sqrt(2.0 * t_s / (1.0 + t_s))
-

@@ -26,6 +26,7 @@ CHUNK_SHOTS = 1 << 16  # shots drawn per step by ``estimate_sampled``; no result
 ORTHOGONAL_ATOL = 1e-12  # |<phi|psi>| at or below which the weak value is undefined
 ZERO_POSTSELECTION = 1e-12  # post-selection probability that counts as zero
 SINGULAR_SCALE = 1e-12  # |2 gamma^2 - 1| below which the meter says nothing about n
+HERMITIAN_ATOL = 1e-12  # largest entry of |X - X^dag| accepted for a projectively measured X
 
 
 class WeakValueError(ValueError):
@@ -59,9 +60,20 @@ class WeakValueResult:
         }
 
 
+def _observable(x, psi: PureState, phi: PureState) -> np.ndarray:
+    """``x`` as a complex array; WeakValueError unless it is finite and (d, d),
+    with d the dimension of both ``psi`` and ``phi``."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape != (psi.dim, psi.dim) or phi.dim != psi.dim:
+        raise WeakValueError(f"observable of shape {x.shape} for states of dimensions {psi.dim} and {phi.dim}")
+    if not np.isfinite(x).all():
+        raise WeakValueError("observable has a non-finite entry")
+    return x
+
+
 def weak_value(x: np.ndarray, psi: PureState, phi: PureState) -> float:
     """Re <phi|X|psi> / <phi|psi>; may lie outside the spectrum of X."""
-    x = np.asarray(x, dtype=complex)
+    x = _observable(x, psi, phi)
     denom = complex(np.vdot(phi.amps, psi.amps))
     if abs(denom) <= ORTHOGONAL_ATOL:
         raise WeakValueError("undefined weak value: orthogonal pre/post selection")
@@ -72,8 +84,10 @@ def weak_value(x: np.ndarray, psi: PureState, phi: PureState) -> float:
 def strong_value_postselected(x: np.ndarray, psi: PureState, phi: PureState) -> float:
     """Eigenvalue-weighted conditional mean of a projective intermediate
     measurement of X, post-selected on the final result phi. Always lies
-    within the eigenvalue range of X."""
-    x = np.asarray(x, dtype=complex)
+    within the eigenvalue range of X, which must be Hermitian within HERMITIAN_ATOL."""
+    x = _observable(x, psi, phi)
+    if not (np.abs(x - x.conj().T) <= HERMITIAN_ATOL).all():
+        raise WeakValueError("observable is not Hermitian")
     evals, evecs = np.linalg.eigh(x)
     w = (np.abs(evecs.conj().T @ phi.amps) ** 2) * (np.abs(evecs.conj().T @ psi.amps) ** 2)
     total = float(w.sum())

@@ -37,6 +37,14 @@ def test_fidelity_uncorrelated(capsys):
     assert json.loads(out)["results"]["f_m"] == pytest.approx(0.5)
 
 
+def test_fidelity_accepts_weights_whose_sum_overflows(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, _ = run_cli(capsys, "fidelity", "--p-in", "1e308,1e308", "--p-m", "1,1")
+    assert code == 0
+    assert abs(json.loads(out)["results"]["f_m"] - 1.0) <= 1e-15
+
+
 def test_fidelity_counts_file(capsys, tmp_path):
     path = tmp_path / "counts.json"
     path.write_text(json.dumps({"p_in": [90, 10], "p_m": [88, 12]}))

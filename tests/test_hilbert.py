@@ -154,6 +154,13 @@ def test_probdist_from_weights_normalizes_counts():
         ProbDist.from_weights([0.0, 0.0])
 
 
+def test_probdist_from_weights_scales_huge_weights():
+    # the raw sum overflows a float, so the weights must be scaled before summing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.array_equal(ProbDist.from_weights([1e308, 1e308]).p, [0.5, 0.5])
+
+
 # --------------------------------------------------- the gate's joint state
 # The joint (signal, meter) state of the CNOT gate and the statistics read
 # from it, as ``oracles.run`` takes them off the Kraus stack ``cnot_qnd.kraus``:

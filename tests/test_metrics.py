@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qndsim import metrics
@@ -17,8 +17,6 @@ from qndsim.metrics import (
     classical_fidelity,
     correlation_c2,
     distinguishability,
-    fm_from_tm,
-    fqnd_from_ts,
     measurement_fidelity,
     qnd_fidelity,
     qsp_fidelity,
@@ -144,30 +142,20 @@ def test_correlation_degenerate_observable():
         correlation_c2(j)
 
 
-def test_correlation_mean_subtracted_variant():
-    # biased marginals: raw and centered conventions differ
-    q = np.array([[0.7, 0.1], [0.1, 0.1]])
-    j = JointDist(q, [1, -1], [1, -1])
-    raw = correlation_c2(j)
-    centered = correlation_c2(j, subtract_mean=True)
-    assert raw != pytest.approx(centered)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("axis", ["eigvals_a", "eigvals_b"])
+def test_joint_dist_rejects_non_finite_eigenvalues(axis, bad):
+    eigvals = {"eigvals_a": [1.0, -1.0], "eigvals_b": [1.0, -1.0], axis: [bad, 1.0]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MetricsError, match=re.escape(f"{axis} must be finite, got [{bad}, 1.0]")):
+            JointDist(np.diag([0.5, 0.5]), **eigvals)
 
 
 def test_c2_shortcut():
     assert c2_from_fqsp(1.0) == pytest.approx(1.0)
     assert c2_from_fqsp(0.5) == pytest.approx(0.0)
     assert c2_from_fqsp(0.64) == pytest.approx(0.28, abs=1e-12)
-
-
-def test_cv_bridges():
-    assert fm_from_tm(1.0) == pytest.approx(1.0)
-    assert fm_from_tm(0.0) == 0.0
-    assert fm_from_tm(1 / 3) == pytest.approx(math.sqrt(0.5), abs=1e-10)
-    assert fqnd_from_ts(1 / 3) == pytest.approx(0.7071067812, abs=1e-9)
-    with pytest.raises(MetricsError):
-        fm_from_tm(-0.1)
-    with pytest.raises(MetricsError):
-        fqnd_from_ts(-1.0)
 
 
 # ------------------------------------------------------------------ properties
@@ -198,15 +186,6 @@ def test_fidelity_one_implies_equal(p, q):
     qa = np.asarray(q) / np.sum(q)
     if classical_fidelity(p, q) > 1 - 1e-12:
         np.testing.assert_allclose(pa, qa, atol=1e-5)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.floats(0, 50), st.floats(0, 50))
-def test_fm_from_tm_monotone(t1, t2):
-    lo, hi = sorted((t1, t2))
-    # the slope is about 2.7e-4 at t = 50, so closer inputs can round to one value
-    assume(hi - lo > 1e-9)
-    assert fm_from_tm(lo) < fm_from_tm(hi)
 
 
 def test_englert_bound_for_simulated_cnot_family():
@@ -242,7 +221,7 @@ def _reader_stacks():
 
 
 def _reference_figures(m, basis):
-    """q, K, K_bar and both C^2 conventions, by explicit einsum contractions."""
+    """q, K, K_bar and C^2, by explicit einsum contractions."""
 
     def conditioned(v):
         w = np.abs(np.einsum("sj,...kst,ti->...kji", v.conj(), m, v)) ** 2
@@ -251,31 +230,27 @@ def _reference_figures(m, basis):
     q = 0.5 * np.einsum("...kji->...jk", conditioned(basis.vectors))
     p_c = 0.5 * np.einsum("...kii->...", conditioned(basis.vectors @ X_BASIS.vectors))
     ev = np.array([1.0, -1.0])
-    c2 = {}
-    for centered in (False, True):
-        pa, pb = q.sum(axis=-1), q.sum(axis=-2)
-        a = ev - centered * np.einsum("...i,i->...", pa, ev)[..., None]
-        b = ev - centered * np.einsum("...j,j->...", pb, ev)[..., None]
-        corr = np.einsum("...ij,...i,...j->...", q, a, b)
-        c2[centered] = corr**2 / (np.einsum("...i,...i->...", pa, a**2) * np.einsum("...j,...j->...", pb, b**2))
+    pa, pb = q.sum(axis=-1), q.sum(axis=-2)
+    corr = np.einsum("...ij,i,j->...", q, ev, ev)
+    c2 = corr**2 / (np.einsum("...i,i->...", pa, ev**2) * np.einsum("...j,j->...", pb, ev**2))
     return q, 2 * np.einsum("...ii->...", q) - 1, 2 * p_c - 1, c2
 
 
 def test_batched_reader_matches_per_stack_calls_and_einsum_reference():
     m, basis = _reader_stacks()
     joint, pair = metrics.kraus_figures(m, basis)
-    c2 = {centered: correlation_c2(joint, subtract_mean=centered) for centered in (False, True)}
-    assert joint.q.shape == (3, 4, 2, 2) and pair.k.shape == c2[True].shape == (3, 4)
+    c2 = correlation_c2(joint)
+    assert joint.q.shape == (3, 4, 2, 2) and pair.k.shape == c2.shape == (3, 4)
     for idx in np.ndindex(3, 4):
         one_joint, one_pair = metrics.kraus_figures(m[idx], basis)
         np.testing.assert_allclose(joint.q[idx], one_joint.q, rtol=0, atol=1e-15)
         np.testing.assert_allclose(
-            [pair.k[idx], pair.k_bar[idx], c2[False][idx], c2[True][idx]],
-            [one_pair.k, one_pair.k_bar, correlation_c2(one_joint), correlation_c2(one_joint, subtract_mean=True)],
+            [pair.k[idx], pair.k_bar[idx], c2[idx]],
+            [one_pair.k, one_pair.k_bar, correlation_c2(one_joint)],
             rtol=0, atol=1e-15,
         )
     q, k, k_bar, ref_c2 = _reference_figures(m, basis)
-    for got, want in [(joint.q, q), (pair.k, k), (pair.k_bar, k_bar), (c2[False], ref_c2[False]), (c2[True], ref_c2[True])]:
+    for got, want in [(joint.q, q), (pair.k, k), (pair.k_bar, k_bar), (c2, ref_c2)]:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -56,6 +57,33 @@ def test_weak_value_anomalous():
 def test_weak_value_orthogonal_rejected():
     with pytest.raises(WeakValueError):
         weak_value(N_HAT, hs.PLUS, hs.MINUS)
+
+
+@pytest.mark.parametrize("x", [np.array([[0, 1], [0, 0]]), np.array([[0, 0], [1, 0]])], ids=["sigma_plus", "sigma_minus"])
+def test_strong_value_rejects_a_non_hermitian_observable(x):
+    # eigh would read only the lower triangle and return 0.0 and 1.0 here
+    weak_value(x, hs.KET0, hs.PLUS)  # a weak value is defined for any operator
+    with pytest.raises(WeakValueError, match="not Hermitian"):
+        strong_value_postselected(x, hs.KET0, hs.PLUS)
+
+
+@pytest.mark.parametrize("f", [weak_value, strong_value_postselected])
+@pytest.mark.parametrize("x, match", [
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), "non-finite"),
+    (np.diag([0.0, 1.0, 2.0]), r"shape \(3, 3\)"),
+    (np.array([0.0, 1.0]), r"shape \(2,\)"),
+], ids=["nan", "qutrit", "vector"])
+def test_weak_values_reject_a_bad_observable(f, x, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(WeakValueError, match=match):
+            f(x, hs.KET0, hs.PLUS)
+
+
+@pytest.mark.parametrize("f", [weak_value, strong_value_postselected])
+def test_weak_values_reject_states_of_different_dimensions(f):
+    with pytest.raises(WeakValueError, match="dimensions 2 and 3"):
+        f(N_HAT, hs.KET0, PureState.from_amplitudes([1.0, 0.0, 0.0]))
 
 
 def test_weak_value_unbounded_existence():
