@@ -25,8 +25,6 @@ from .hilbert import BasisSpec, PureState
 
 GAMMA_MIN = 1.0 / math.sqrt(2.0)
 GAMMA_ATOL = 1e-12
-# branch probability below which a meter outcome has no post-measurement state
-ZERO_BRANCH = 1e-14
 
 
 class StrengthError(ValueError):
@@ -82,64 +80,33 @@ def _kraus_stacks(gammas, basis: BasisSpec) -> np.ndarray:
     c[..., ::3] = g[..., None]
     c[..., 1:3] = np.sqrt(1.0 - g**2)[..., None]
     v = basis.vectors
-    return metrics._matmul_last(v * c.reshape(g.shape + (2, 1, 2)), v.conj().T)
+    x = v * c.reshape(g.shape + (2, 1, 2))
+    return (x.reshape(-1, 2) @ v.conj().T).reshape(x.shape)
 
 
 _S = 1 / math.sqrt(2)
-_PAULI_ENSEMBLE = (
-    ("|0>", hs.KET0), ("|1>", hs.KET1), ("|+>", hs.PLUS), ("|->", hs.MINUS),
-    ("|+i>", hs.qubit(_S, 1j * _S)), ("|-i>", hs.qubit(_S, -1j * _S)),
-)
+_PAULI_ENSEMBLE = (hs.KET0, hs.KET1, hs.PLUS, hs.MINUS, hs.qubit(_S, 1j * _S), hs.qubit(_S, -1j * _S))
 
 
-def pauli_ensemble() -> list[tuple[str, PureState]]:
-    """The six Pauli eigenstates; default probe set spanning the qubit space."""
+def pauli_ensemble() -> list[PureState]:
+    """The six Pauli eigenstates |0>, |1>, |+>, |->, |+i>, |-i>; default probe
+    set spanning the qubit space."""
     return list(_PAULI_ENSEMBLE)
 
 
 def _score(gammas, basis: BasisSpec, ensemble):
-    """Per-input (F_M, F_QND), stacked as (2,) + gammas.shape + (n_inputs,),
-    then F_QSP, the pair (K, K_bar) and raw C^2 (gammas.shape), all read
+    """Per-input (F_M, F_QND) of the ``ensemble`` states, stacked as (2,) + gammas.shape
+    + (n_inputs,), then F_QSP, the pair (K, K_bar) and raw C^2 (gammas.shape), all read
     from one Born table; only the basis and ensemble are checked here."""
     if len(ensemble) == 0:
         raise hs.HilbertError("ensemble must be nonempty")
-    if any(state.dim != 2 for _, state in ensemble):
+    if any(state.dim != 2 for state in ensemble):
         raise hs.HilbertError("ensemble states must be signal qubits")
     m = _kraus_stacks(gammas, basis)
-    amps = np.array([state.amps for _, state in ensemble])
+    amps = np.array([state.amps for state in ensemble])
     q, pair, probed = metrics._read(m, basis, amps)
     p_in = np.abs(amps @ basis.vectors.conj()) ** 2
     return metrics._fidelities(p_in, probed), q[..., 0, 0] + q[..., 1, 1], pair, metrics._c2(q)
-
-
-def characterize(
-    prep: MeterPrep,
-    basis: BasisSpec = hs.Z_BASIS,
-    ensemble=None,
-) -> tuple[metrics.FidelityReport, metrics.DistinguishabilityPair, dict]:
-    """Evaluate the device against all quality measures.
-
-    F_M and F_QND are computed per ensemble input; the headline values
-    are worst case over the ensemble. F_QSP (= likelihood L), K and K_bar
-    are read off the Kraus stack by ``metrics._read``: the
-    maximally mixed input for F_QSP, the conjugate eigenstates for K_bar.
-    Both C^2 conventions are returned: ``c2_raw`` evaluates the
-    correlation function on the joint outcome statistics, ``c2_shortcut``
-    is the qubit identity 2 F_QSP - 1; they differ for intermediate
-    strengths (the raw form equals the square of the shortcut here).
-    """
-    ensemble = pauli_ensemble() if ensemble is None else ensemble
-    (f_m, f_qnd), f_qsp, pair, c2_raw = _score(prep.gamma, basis, ensemble)
-    report = metrics.FidelityReport(
-        f_m=float(f_m.min()),
-        f_qnd=float(f_qnd.min()),
-        f_qsp=float(f_qsp),
-        per_input=tuple(zip([label for label, _ in ensemble], f_m.tolist(), f_qnd.tolist())),
-        f_m_mean=float(f_m.mean()),
-        f_qnd_mean=float(f_qnd.mean()),
-    )
-    c2 = {"c2_raw": float(c2_raw), "c2_shortcut": metrics.c2_from_fqsp(float(f_qsp))}
-    return report, pair, c2
 
 
 @dataclass(frozen=True)
@@ -164,10 +131,10 @@ CSV_HEADER = ",".join(SWEEP_FIELDS)
 
 
 def strength_sweep(gammas, basis: BasisSpec = hs.Z_BASIS, ensemble=None) -> list[SweepRow]:
-    """Characterize the device on a grid of strengths, in the given order.
-
-    Each row holds the values ``characterize`` gives at its strength.
-    """
+    """Characterize the device on a grid of strengths, in the given order; one point is the
+    single-device result. ``ensemble`` is a list of qubit PureStates (default ``pauli_ensemble()``),
+    F_M and F_QND the worst case over it. ``c2_raw`` is C^2 of the joint outcome statistics,
+    ``c2_shortcut`` the qubit identity 2 F_QSP - 1, of which it is the square here."""
     g = np.fromiter(gammas, dtype=float)
     if g.size == 0:
         return []

@@ -18,6 +18,7 @@ NORM_ATOL = 1e-10  # a state's normalization accepted within this of 1
 PROB_ATOL = 1e-10
 PROB_CLAMP = 1e-12
 ZERO_NORM = 1e-14  # amplitudes of a smaller norm are the zero vector, which has no state
+ZERO_BRANCH = 1e-14  # branch probability below which a measurement outcome has no post-measurement state
 ORTHONORMAL_ATOL = 1e-10  # largest entry of |V^dag V - 1| accepted for a basis
 SHORT_AXIS = 8  # longest last axis that _sum_last adds slice by slice; longer ones use pairwise sums
 

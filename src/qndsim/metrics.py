@@ -35,11 +35,6 @@ def _check_range(name: str, v, lo: float) -> None:
         raise MetricsError(f"{name} = {v[~ok][0]} outside [{lo:g}, 1]")
 
 
-def _matmul_last(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """``x @ a`` for a stack ``x`` (..., n) and a matrix ``a`` (n, p), as one 2-D product."""
-    return (x.reshape(-1, x.shape[-1]) @ a).reshape(x.shape[:-1] + a.shape[-1:])
-
-
 def _as_dist(p) -> np.ndarray:
     if isinstance(p, ProbDist):
         return p.p
@@ -88,22 +83,6 @@ def qsp_fidelity(p_m, conditional) -> float:
         raise MetricsError("one conditional probability required per outcome")
     _check_range("conditional probability", cond, 0.0)
     return float(np.dot(pm, np.clip(cond, 0.0, 1.0)))
-
-
-@dataclass(frozen=True)
-class FidelityReport:
-    """Aggregated quality measures for one device configuration.
-
-    Headline f_m and f_qnd are the minimum over the probe ensemble
-    (worst case); the ensemble means are kept alongside.
-    """
-
-    f_m: float
-    f_qnd: float
-    f_qsp: float
-    per_input: tuple = ()
-    f_m_mean: float | None = None
-    f_qnd_mean: float | None = None
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .cnot_qnd import ZERO_BRANCH
-from .hilbert import Z_BASIS, PureState
+from .hilbert import ZERO_BRANCH, Z_BASIS, PureState
 
 A_MAX = math.sqrt(3.0) / 2.0
 A_MAX_ATOL = 1e-12  # strength a accepted up to A_MAX + A_MAX_ATOL, then clipped to A_MAX

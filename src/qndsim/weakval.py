@@ -60,40 +60,52 @@ class WeakValueResult:
         }
 
 
-def _observable(x, psi: PureState, phi: PureState) -> np.ndarray:
-    """``x`` as a complex array; WeakValueError unless it is finite and (d, d),
-    with d the dimension of both ``psi`` and ``phi``."""
-    x = np.asarray(x, dtype=complex)
+def _observable(x, psi: PureState, phi: PureState) -> tuple[np.ndarray, int]:
+    """(``x`` * 2**-e, e), the power of two e bringing x's largest real or imaginary part into
+    [1/2, 1) as in ``PureState.from_amplitudes``: exact, and no product then overflows;
+    WeakValueError unless ``x`` is finite and (d, d), d the dimension of ``psi`` and ``phi``."""
+    x = np.array(x, dtype=complex)  # a copy, scaled in place
     if x.shape != (psi.dim, psi.dim) or phi.dim != psi.dim:
         raise WeakValueError(f"observable of shape {x.shape} for states of dimensions {psi.dim} and {phi.dim}")
-    if not np.isfinite(x).all():
+    parts = x.view(float)
+    if not np.isfinite(parts).all():
         raise WeakValueError("observable has a non-finite entry")
-    return x
+    e = math.frexp(np.abs(parts).max())[1]
+    np.ldexp(parts, -e, out=parts)
+    return x, e
+
+
+def _unscaled(v, e: int) -> float:
+    """``v`` * 2**e; WeakValueError if that is out of float range."""
+    try:
+        return math.ldexp(float(v), e)
+    except OverflowError:
+        raise WeakValueError(f"value {float(v)} * 2**{e} is out of float range") from None
 
 
 def weak_value(x: np.ndarray, psi: PureState, phi: PureState) -> float:
     """Re <phi|X|psi> / <phi|psi>; may lie outside the spectrum of X."""
-    x = _observable(x, psi, phi)
+    x, e = _observable(x, psi, phi)
     denom = complex(np.vdot(phi.amps, psi.amps))
     if abs(denom) <= ORTHOGONAL_ATOL:
         raise WeakValueError("undefined weak value: orthogonal pre/post selection")
     num = complex(phi.amps.conj() @ x @ psi.amps)
-    return float((num / denom).real)
+    return _unscaled((num / denom).real, e)
 
 
 def strong_value_postselected(x: np.ndarray, psi: PureState, phi: PureState) -> float:
     """Eigenvalue-weighted conditional mean of a projective intermediate
     measurement of X, post-selected on the final result phi. Always lies
     within the eigenvalue range of X, which must be Hermitian within HERMITIAN_ATOL."""
-    x = _observable(x, psi, phi)
-    if not (np.abs(x - x.conj().T) <= HERMITIAN_ATOL).all():
+    x, e = _observable(x, psi, phi)
+    if not (np.abs(x - x.conj().T) <= math.ldexp(HERMITIAN_ATOL, -e)).all():
         raise WeakValueError("observable is not Hermitian")
     evals, evecs = np.linalg.eigh(x)
     w = (np.abs(evecs.conj().T @ phi.amps) ** 2) * (np.abs(evecs.conj().T @ psi.amps) ** 2)
     total = float(w.sum())
     if total <= ZERO_POSTSELECTION:
         raise WeakValueError("zero post-selection probability")
-    return float(np.dot(w, evals.real) / total)
+    return _unscaled(np.dot(w, evals.real) / total, e)
 
 
 def povm(gamma: float) -> np.ndarray:
@@ -208,7 +220,7 @@ def estimate_sampled(
     p_m = (np.abs(branches) ** 2).sum(axis=1)
     # probability of the final '+' result on each conditional signal state
     plus = np.abs(branches @ hs.PLUS.amps.conj()) ** 2
-    p_plus_given_k = np.divide(plus, p_m, out=np.zeros(2), where=p_m >= cnot_qnd.ZERO_BRANCH)
+    p_plus_given_k = np.divide(plus, p_m, out=np.zeros(2), where=p_m >= hs.ZERO_BRANCH)
 
     chunks = -(-shots // CHUNK_SHOTS)
     workers = min(chunks, _available_cpus())

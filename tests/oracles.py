@@ -76,7 +76,7 @@ def run(signal, prep, basis=hs.Z_BASIS):
     p_in = np.abs(basis.vectors.conj().T @ signal.amps) ** 2
     conditional = []
     for k in range(2):
-        if p_m[k] < cq.ZERO_BRANCH:
+        if p_m[k] < hs.ZERO_BRANCH:
             conditional.append((0.0, None, 0.0))
             continue
         post = PureState.from_amplitudes(branches[k], dims=(2,))

@@ -26,7 +26,7 @@ S = 1 / math.sqrt(2)
 ETA = 1.0 / 3.0
 H = PureState((2,), [1, 0])
 V = PureState((2,), [0, 1])
-EIGENSTATES = [("|0>", hs.KET0), ("|1>", hs.KET1)]
+EIGENSTATES = [hs.KET0, hs.KET1]
 
 
 @contextlib.contextmanager
@@ -41,43 +41,43 @@ def criterion(num, name):
 
 def test_01_ideal_projective_qnd():
     with criterion(1, "ideal projective QND at full strength"):
-        report, pair, c2 = cq.characterize(cq.MeterPrep(1.0), ensemble=EIGENSTATES)
-        assert report.f_m == pytest.approx(1.0, abs=1e-9)
-        assert report.f_qnd == pytest.approx(1.0, abs=1e-9)
-        assert report.f_qsp == pytest.approx(1.0, abs=1e-9)
-        assert c2["c2_raw"] == pytest.approx(1.0, abs=1e-9)
+        row = cq.strength_sweep([1.0], ensemble=EIGENSTATES)[0]
+        assert row.f_m == pytest.approx(1.0, abs=1e-9)
+        assert row.f_qnd == pytest.approx(1.0, abs=1e-9)
+        assert row.f_qsp == pytest.approx(1.0, abs=1e-9)
+        assert row.c2_raw == pytest.approx(1.0, abs=1e-9)
 
 
 def test_02_turned_off_measurement():
     with criterion(2, "turned-off measurement limit"):
-        report, _, _ = cq.characterize(cq.MeterPrep(S), ensemble=EIGENSTATES)
-        assert report.f_m == pytest.approx(0.5, abs=1e-9)
-        assert report.f_qnd == pytest.approx(1.0, abs=1e-9)
-        assert report.f_qsp == pytest.approx(0.5, abs=1e-9)
-        sup, _, _ = cq.characterize(cq.MeterPrep(S), ensemble=[("|+>", hs.PLUS)])
+        row = cq.strength_sweep([S], ensemble=EIGENSTATES)[0]
+        assert row.f_m == pytest.approx(0.5, abs=1e-9)
+        assert row.f_qnd == pytest.approx(1.0, abs=1e-9)
+        assert row.f_qsp == pytest.approx(0.5, abs=1e-9)
+        sup = cq.strength_sweep([S], ensemble=[hs.PLUS])[0]
         assert sup.f_m == pytest.approx(1.0, abs=1e-9)
 
 
 def test_03_strength_law():
     with criterion(3, "fidelity strength law over the gamma grid"):
         for g in np.linspace(cq.GAMMA_MIN, 1.0, 50):
-            report, _, _ = cq.characterize(cq.MeterPrep(float(g)), ensemble=EIGENSTATES)
-            assert report.f_m == pytest.approx(g * g, abs=1e-10)
-            assert report.f_qsp == pytest.approx(g * g, abs=1e-10)
-            assert report.f_qnd == pytest.approx(1.0, abs=1e-10)
+            row = cq.strength_sweep([g], ensemble=EIGENSTATES)[0]
+            assert row.f_m == pytest.approx(g * g, abs=1e-10)
+            assert row.f_qsp == pytest.approx(g * g, abs=1e-10)
+            assert row.f_qnd == pytest.approx(1.0, abs=1e-10)
 
 
 def test_04_englert_saturation():
     with criterion(4, "distinguishability duality saturation"):
         for g in np.linspace(cq.GAMMA_MIN, 1.0, 50):
-            _, pair, _ = cq.characterize(cq.MeterPrep(float(g)), ensemble=EIGENSTATES)
+            row = cq.strength_sweep([g], ensemble=EIGENSTATES)[0]
             gb = math.sqrt(1 - g * g)
-            assert pair.k == pytest.approx(2 * g * g - 1, abs=1e-9)
-            assert pair.k_bar == pytest.approx(2 * g * gb, abs=1e-9)
-            assert pair.englert_lhs == pytest.approx(1.0, abs=1e-9)
-        _, pair, _ = cq.characterize(cq.MeterPrep(0.8), ensemble=EIGENSTATES)
-        assert pair.k == pytest.approx(0.28, abs=1e-9)
-        assert pair.k_bar == pytest.approx(0.96, abs=1e-9)
+            assert row.k == pytest.approx(2 * g * g - 1, abs=1e-9)
+            assert row.k_bar == pytest.approx(2 * g * gb, abs=1e-9)
+            assert row.englert == pytest.approx(1.0, abs=1e-9)
+        row = cq.strength_sweep([0.8], ensemble=EIGENSTATES)[0]
+        assert row.k == pytest.approx(0.28, abs=1e-9)
+        assert row.k_bar == pytest.approx(0.96, abs=1e-9)
 
 
 def test_05_optics_success_probabilities():

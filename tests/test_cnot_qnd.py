@@ -188,49 +188,40 @@ def test_conditional_projects_to_eigenstate_at_full_strength():
 
 
 def test_characterize_projective():
-    report, pair, c2 = cq.characterize(cq.MeterPrep(1.0))
-    assert report.f_m == pytest.approx(1.0, abs=1e-10)
-    assert report.f_qnd == pytest.approx(1.0, abs=1e-10)
-    assert report.f_qsp == pytest.approx(1.0, abs=1e-10)
-    assert pair.k == pytest.approx(1.0, abs=1e-10)
-    assert pair.k_bar == pytest.approx(0.0, abs=1e-10)
-    assert c2["c2_raw"] == pytest.approx(1.0, abs=1e-10)
+    row = cq.strength_sweep([1.0])[0]
+    assert row.f_m == pytest.approx(1.0, abs=1e-10)
+    assert row.f_qnd == pytest.approx(1.0, abs=1e-10)
+    assert row.f_qsp == pytest.approx(1.0, abs=1e-10)
+    assert row.k == pytest.approx(1.0, abs=1e-10)
+    assert row.k_bar == pytest.approx(0.0, abs=1e-10)
+    assert row.c2_raw == pytest.approx(1.0, abs=1e-10)
 
 
 def test_characterize_turned_off():
-    ensemble = [("|0>", hs.KET0), ("|1>", hs.KET1)]
-    report, pair, c2 = cq.characterize(cq.MeterPrep(S), ensemble=ensemble)
-    assert report.f_m == pytest.approx(0.5, abs=1e-10)
-    assert report.f_qnd == pytest.approx(1.0, abs=1e-10)
-    assert report.f_qsp == pytest.approx(0.5, abs=1e-10)
-    assert c2["c2_raw"] == pytest.approx(0.0, abs=1e-10)
+    row = cq.strength_sweep([S], ensemble=[hs.KET0, hs.KET1])[0]
+    assert row.f_m == pytest.approx(0.5, abs=1e-10)
+    assert row.f_qnd == pytest.approx(1.0, abs=1e-10)
+    assert row.f_qsp == pytest.approx(0.5, abs=1e-10)
+    assert row.c2_raw == pytest.approx(0.0, abs=1e-10)
 
 
 def test_characterize_conjugate_hit_rate():
     g = 0.8
-    _, pair, _ = cq.characterize(cq.MeterPrep(g))
+    row = cq.strength_sweep([g])[0]
     gb = math.sqrt(1 - g * g)
-    assert pair.k_bar == pytest.approx(2 * g * gb, abs=1e-10)
-    assert (pair.k_bar + 1) / 2 == pytest.approx(g * gb + 0.5, abs=1e-10)
-    assert pair.englert_lhs == pytest.approx(1.0, abs=1e-9)
+    assert row.k_bar == pytest.approx(2 * g * gb, abs=1e-10)
+    assert (row.k_bar + 1) / 2 == pytest.approx(g * gb + 0.5, abs=1e-10)
+    assert row.englert == pytest.approx(1.0, abs=1e-9)
 
 
 def test_characterize_superposition_fm_is_one_when_off():
-    ensemble = [("|+>", hs.PLUS)]
-    report, _, _ = cq.characterize(cq.MeterPrep(S), ensemble=ensemble)
-    assert report.f_m == pytest.approx(1.0, abs=1e-10)
+    row = cq.strength_sweep([S], ensemble=[hs.PLUS])[0]
+    assert row.f_m == pytest.approx(1.0, abs=1e-10)
 
 
-def test_characterize_empty_ensemble():
-    with pytest.raises(ValueError):
-        cq.characterize(cq.MeterPrep(1.0), ensemble=[])
-
-
-def test_characterize_rejects_non_qubit():
+def test_sweep_rejects_non_qubit():
     # a two-qubit probe is named as the wrong input, not failed on deep in numpy
-    ensemble = [("|0>", hs.KET0), ("|00>", PureState((2, 2), np.eye(4)[0]))]
-    with pytest.raises(hs.HilbertError, match="qubit"):
-        cq.characterize(cq.MeterPrep(1.0), ensemble=ensemble)
+    ensemble = [hs.KET0, PureState((2, 2), np.eye(4)[0])]
     with pytest.raises(hs.HilbertError, match="qubit"):
         cq.strength_sweep([S, 1.0], ensemble=ensemble)
 
@@ -240,7 +231,7 @@ def test_strength_law_on_grid():
     random_basis = BasisSpec(random_unitary2(np.random.default_rng(17)))
     for basis in (hs.Z_BASIS, hs.X_BASIS, hs.Y_BASIS, random_basis):
         # the Pauli ensemble carried into ``basis``, so it holds that basis's eigenstates
-        ensemble = [(label, PureState((2,), basis.vectors @ s.amps)) for label, s in cq.pauli_ensemble()]
+        ensemble = [PureState((2,), basis.vectors @ s.amps) for s in cq.pauli_ensemble()]
         rows = cq.strength_sweep(grid, basis, ensemble)
         for g, row in zip(grid, rows):
             assert row.f_m == pytest.approx(g * g, abs=1e-10)
@@ -279,10 +270,10 @@ def test_sweep_json_roundtrip():
     assert set(blob[0]) == set(cq.SWEEP_FIELDS)
 
 
-def test_sweep_rows_match_one_point_sweeps_and_characterize():
+def test_sweep_rows_match_one_point_sweeps():
     rng = np.random.default_rng(23)
     basis = BasisSpec(random_unitary2(rng))
-    ensemble = cq.pauli_ensemble() + [(f"r{i}", random_qubit(rng)) for i in range(5)]
+    ensemble = cq.pauli_ensemble() + [random_qubit(rng) for _ in range(5)]
     grid = np.linspace(cq.GAMMA_MIN, 1.0, 17)
     rows = cq.strength_sweep(grid, basis, ensemble)
     assert len(rows) == grid.size
@@ -290,13 +281,20 @@ def test_sweep_rows_match_one_point_sweeps_and_characterize():
         single = cq.strength_sweep([g], basis, ensemble)[0]
         for field in cq.SWEEP_FIELDS:
             assert getattr(row, field) == pytest.approx(getattr(single, field), abs=1e-12)
-        report, pair, c2 = cq.characterize(cq.MeterPrep(float(g)), basis, ensemble)
-        headline = (report.f_m, report.f_qnd, report.f_qsp, pair.k, pair.k_bar,
-                    pair.englert_lhs, c2["c2_raw"], c2["c2_shortcut"])
-        np.testing.assert_allclose(
-            [row.f_m, row.f_qnd, row.f_qsp, row.k, row.k_bar, row.englert, row.c2_raw, row.c2_shortcut],
-            headline, rtol=0, atol=1e-12,
-        )
+
+
+def test_sweep_ignores_probe_phase_and_order():
+    # a probe's global phase is not physical, and the worst case over a list is that over a set
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        basis = BasisSpec(random_unitary2(rng))
+        ensemble = cq.pauli_ensemble() + [random_qubit(rng) for _ in range(4)]
+        phases = np.exp(2j * np.pi * rng.uniform(size=len(ensemble)))
+        shuffled = [PureState((2,), ensemble[i].amps * phases[i]) for i in rng.permutation(len(ensemble))]
+        grid = rng.uniform(cq.GAMMA_MIN, 1.0, 20)
+        rows, others = (cq.strength_sweep(grid, basis, probes) for probes in (ensemble, shuffled))
+        np.testing.assert_allclose([[getattr(r, f) for f in cq.SWEEP_FIELDS] for r in others],
+                                   [[getattr(r, f) for f in cq.SWEEP_FIELDS] for r in rows], rtol=0, atol=1e-14)
 
 
 def test_sweep_rows_are_frozen_sweep_rows():
@@ -318,8 +316,6 @@ def test_gamma_just_above_one_is_scored_as_one():
     for b in (hs.Z_BASIS, hs.X_BASIS, basis):
         row, = cq.strength_sweep([over], b)
         assert row == dataclasses.replace(cq.strength_sweep([1.0], b)[0], gamma=over)
-        report, pair, c2 = cq.characterize(cq.MeterPrep(over), b)
-        assert (report, pair, c2) == cq.characterize(cq.MeterPrep(1.0), b)
     under = cq.GAMMA_MIN - 5e-13
     assert cq.strength_sweep([under])[0] == dataclasses.replace(cq.strength_sweep([cq.GAMMA_MIN])[0], gamma=under)
     # the prepared strength is the clipped one, and every weak-value function reads it
@@ -342,9 +338,11 @@ def test_sweep_rejects_bad_gamma_naming_it():
 
 def test_pauli_ensemble_is_a_fresh_list_each_call():
     first = cq.pauli_ensemble()
-    first.append(("extra", hs.KET0))
+    first.append(hs.KET0)
     second = cq.pauli_ensemble()
-    assert len(second) == 6 and [label for label, _ in second] == ["|0>", "|1>", "|+>", "|->", "|+i>", "|-i>"]
+    expected = [[1, 0], [0, 1], [S, S], [S, -S], [S, 1j * S], [S, -1j * S]]  # |0>, |1>, |+>, |->, |+i>, |-i>
+    assert len(second) == 6
+    np.testing.assert_allclose([state.amps for state in second], expected, rtol=0, atol=1e-15)
     assert second is not cq.pauli_ensemble()
 
 

@@ -90,9 +90,8 @@ def test_probdist_rejects_non_finite(weights):
     lambda: ProbDist.from_weights([]),
     lambda: ProbDist(np.empty((0,))),
     lambda: classical_fidelity([], []),
-    lambda: cq.characterize(MeterPrep(1.0), ensemble=[]),
     lambda: cq.strength_sweep([S, 1.0], ensemble=[]),
-], ids=["probdist", "from_weights", "probdist_array", "classical_fidelity", "characterize", "strength_sweep"])
+], ids=["probdist", "from_weights", "probdist_array", "classical_fidelity", "strength_sweep"])
 def test_empty_distribution_is_a_hilbert_error(build):
     # typed, not numpy's "zero-size array to reduction operation minimum"
     with pytest.raises(HilbertError, match="sum|nonempty"):

@@ -192,9 +192,9 @@ def test_englert_bound_for_simulated_cnot_family():
     from qndsim import cnot_qnd
 
     for g in np.linspace(cnot_qnd.GAMMA_MIN, 1.0, 25):
-        _, pair, _ = cnot_qnd.characterize(cnot_qnd.MeterPrep(float(g)))
-        assert pair.englert_lhs <= 1 + 1e-9
-        assert pair.englert_lhs == pytest.approx(1.0, abs=1e-9)
+        row = cnot_qnd.strength_sweep([g])[0]
+        assert row.englert <= 1 + 1e-9
+        assert row.englert == pytest.approx(1.0, abs=1e-9)
 
 
 # ------------------------------------------------ batched Kraus-stack reader
@@ -326,7 +326,7 @@ def test_reader_probe_columns_match_einsum_reference():
     rng = np.random.default_rng(73)
     probes = rng.normal(size=(7, 2)) + 1j * rng.normal(size=(7, 2))
     probes /= np.linalg.norm(probes, axis=1, keepdims=True)
-    ensemble = [(f"r{i}", PureState((2,), a)) for i, a in enumerate(probes)]
+    ensemble = [PureState((2,), a) for a in probes]
     gammas = rng.uniform(cnot_qnd.GAMMA_MIN, 1.0, 9)
     for _ in range(4):
         basis = BasisSpec(np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0])

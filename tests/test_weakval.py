@@ -86,6 +86,50 @@ def test_weak_values_reject_states_of_different_dimensions(f):
         f(N_HAT, hs.KET0, PureState.from_amplitudes([1.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("f, x, psi, phi, expected", [
+    (weak_value, [[1.5e308, -1.5e308], [1.5e308, -1.5e308]], hs.qubit(0.6, 0.8), hs.PLUS, 1.5e308 / 7 * -2),
+    (strong_value_postselected, [[0, 1.7e308], [-1.7e308, 0]], hs.KET0, hs.PLUS, "not Hermitian"),
+    (weak_value, np.full((2, 2), 1e308), hs.PLUS, hs.PLUS, "out of float range"),  # the value is 2e308
+], ids=["finite_value", "anti_hermitian", "value_overflows"])
+def test_weak_values_of_huge_finite_observables(f, x, psi, phi, expected):
+    # the observable is scaled by a power of two, so no numpy overflow warning is raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if isinstance(expected, str):
+            with pytest.raises(WeakValueError, match=expected):
+                f(x, psi, phi)
+        else:
+            assert f(x, psi, phi) == pytest.approx(expected, rel=1e-15)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_hermitian_tolerance_does_not_depend_on_the_observable_scale(scale):
+    # X is scaled by a power of two inside, but HERMITIAN_ATOL still bounds |X - X^dag| itself
+    for skew, hermitian in ((0.5 * wv.HERMITIAN_ATOL, True), (2 * wv.HERMITIAN_ATOL, False)):
+        x = np.array([[0.0, scale], [scale + skew, 0.0]])
+        if hermitian:
+            assert strong_value_postselected(x, hs.KET0, hs.PLUS) == pytest.approx(scale, rel=1e-12)
+        else:
+            with pytest.raises(WeakValueError, match="not Hermitian"):
+                strong_value_postselected(x, hs.KET0, hs.PLUS)
+
+
+def test_scaled_weak_values_equal_the_unscaled_formulas():
+    # the power-of-two scaling is exact: ordinary observables give the unscaled values bit for bit
+    rng = np.random.default_rng(41)
+    n = 10**4
+    a = (rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))) * 10 ** rng.uniform(-5, 5, (n, 1, 1))
+    amps = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
+    for x, (psi, phi) in zip((a + a.conj().swapaxes(1, 2)) / 2, amps):
+        psi, phi = PureState((2,), psi), PureState((2,), phi)
+        weak = complex(phi.amps.conj() @ x @ psi.amps) / complex(np.vdot(phi.amps, psi.amps))
+        assert weak_value(x, psi, phi) == float(weak.real)
+        evals, evecs = np.linalg.eigh(x)
+        w = (np.abs(evecs.conj().T @ phi.amps) ** 2) * (np.abs(evecs.conj().T @ psi.amps) ** 2)
+        assert strong_value_postselected(x, psi, phi) == float(np.dot(w, evals.real) / float(w.sum()))
+
+
 def test_weak_value_unbounded_existence():
     # inputs with alpha ~ -beta push the weak value below -10
     eps = 0.01
