@@ -100,8 +100,9 @@ def _score(gammas, basis: BasisSpec, ensemble):
     from one Born table; only the basis and ensemble are checked here."""
     if len(ensemble) == 0:
         raise hs.HilbertError("ensemble must be nonempty")
-    if any(state.dim != 2 for state in ensemble):
-        raise hs.HilbertError("ensemble states must be signal qubits")
+    for i, state in enumerate(ensemble):
+        if not (isinstance(state, PureState) and state.dim == 2):
+            raise hs.HilbertError(f"ensemble entry {i} must be a signal-qubit PureState, got {state!r}")
     m = _kraus_stacks(gammas, basis)
     amps = np.array([state.amps for state in ensemble])
     q, pair, probed = metrics._read(m, basis, amps)

@@ -2,13 +2,15 @@
 
 Pure states over a list of subsystem dimensions, orthonormal measurement
 bases and probability vectors, each an immutable value checked when it is
-built, plus the probability-table check and short-axis sum that ``metrics``
+built (a qubit basis also caches the read matrices of ``metrics._read``),
+plus the probability-table check and short-axis sum that ``metrics``
 shares. Subsystem indexing is big-endian: the leftmost tensor factor
 is subsystem 0 (signal before meter, throughout).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -114,6 +116,18 @@ class BasisSpec:
     @property
     def dim(self) -> int:
         return self.vectors.shape[0]
+
+    @functools.cached_property
+    def outputs(self) -> np.ndarray:
+        """B = [V | V X]: the eigenstates of this qubit basis and of its conjugate, as columns."""
+        return _as_readonly(np.concatenate((self.vectors, self.vectors @ X_BASIS.vectors), axis=1))
+
+    @functools.cached_property
+    def born_products(self) -> np.ndarray:
+        """S[(o, n), (j, i)] = conj(B[o, j]) B[n, i] over ``outputs`` B: a flattened Kraus
+        operator M times S gives the amplitudes b_j^dag M b_i."""
+        b = self.outputs
+        return _as_readonly((b.conj()[:, None, :, None] * b[:, None, :]).reshape(4, 16))
 
 
 Z_BASIS = BasisSpec(np.eye(2))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import X_BASIS, BasisSpec, ProbDist, _sum_last, checked_probabilities
+from .hilbert import BasisSpec, ProbDist, _sum_last, checked_probabilities
 
 RANGE_ATOL = 1e-12  # a figure of merit accepted this far outside its range, e.g. [0, 1]
 DEGENERATE_MOMENT = 1e-24  # <O_A^2><O_B^2> below this: an observable is zero, C^2 undefined
@@ -173,15 +173,10 @@ def kraus_figures(m: np.ndarray, basis: BasisSpec) -> tuple[JointDist, Distingui
         raise MetricsError(f"Kraus stack must have shape (..., 2, 2, 2), got {np.shape(m)}")
     if not np.isfinite(m).all():
         raise MetricsError("Kraus stack has a non-finite entry")
-    if not ((np.abs(m @ _outputs(basis)) ** 2).sum(axis=(-3, -2)) > 0).all():
+    if not ((np.abs(m @ basis.outputs) ** 2).sum(axis=(-3, -2)) > 0).all():
         raise MetricsError("Kraus stack heralds a basis or conjugate input with probability 0")
     q, pair, _ = _read(m, basis)
     return JointDist(q, eigvals_a=_PLUS_MINUS, eigvals_b=_PLUS_MINUS), pair
-
-
-def _outputs(basis: BasisSpec) -> np.ndarray:
-    """B = [V | V X]: the eigenstates of ``basis`` and of its conjugate, as columns."""
-    return np.concatenate((basis.vectors, basis.vectors @ X_BASIS.vectors), axis=1)
 
 
 # the rows (k, block, j, i) of the Born table's basis and conjugate inputs i, with input i
@@ -197,23 +192,22 @@ def _read(m: np.ndarray, basis: BasisSpec, probes: np.ndarray | None = None):
     """``kraus_figures`` of ``m``, unchecked and with q a plain array, and the
     unconditioned (p_m, p_out) of the rows of ``probes`` as (2, ...m's batch, n, 2), or None.
 
-    All come from one Born table w[..., k, j, i] = |b_j^dag M_k a_i|^2 over the outputs
-    B = [V | V X] and the inputs A = [B | probes^T], one product of the flattened M_k with
-    S[(o, n), (j, i)] = conj(B[o, j]) A[n, i]. The figures are read off it through the
-    constant matrices _SUCCESS and _FIGURES, the probes' sums as in-order slice adds.
+    The figures come from one Born table t[..., k, block, j, i] = |b_j^dag M_k b_i|^2 over
+    the outputs B = [V | V X] as both outputs and inputs: one product of the flattened M_k
+    with ``basis.born_products``, read through the constant matrices _SUCCESS and _FIGURES.
+    The probes are read against V only, through S_P[(o, n), (j, p)] = conj(V[o, j]) P[p, n],
+    and their sums taken as in-order slice adds.
     """
-    b = _outputs(basis)
-    a = b if probes is None else np.concatenate((b, probes.T), axis=1)
-    amps = m.reshape(-1, 4) @ (b.conj()[:, None, :, None] * a[:, None, :]).reshape(4, -1)
-    w = (np.abs(amps) ** 2).reshape(m.shape[:-2] + (2, 2, a.shape[1]))  # [..., k, block, j, i]
-    t = w[..., :4].reshape(-1, 8, 4)
+    flat = m.reshape(-1, 4)
+    t = (np.abs(flat @ basis.born_products) ** 2).reshape(-1, 8, 4)  # [..., k, block, j, i]
     c = (t / (t.reshape(-1, 32) @ _SUCCESS)[:, None]).reshape(-1, 32)  # conditioned on success
     f = (c @ _FIGURES).reshape(m.shape[:-3] + (5,))
     q = f[..., :4].reshape(f.shape[:-1] + (2, 2))  # q[..., j, k]: the maximally mixed input over V
     pair = distinguishability(q[..., 0, 0] + q[..., 1, 1], f[..., 4])
     if probes is None:
         return q, pair, None
-    u = w[..., 0, :, 4:]  # [..., k, j, probe] over the V outputs
+    s_p = (basis.vectors.conj()[:, None, :, None] * probes.T[:, None, :]).reshape(4, -1)
+    u = (np.abs(flat @ s_p) ** 2).reshape(m.shape[:-2] + (2, len(probes)))  # [..., k, j, probe]
     probed = np.stack((u[..., 0, :] + u[..., 1, :], u[..., 0, :, :] + u[..., 1, :, :]))
     return q, pair, probed.swapaxes(-2, -1)
 

@@ -8,7 +8,7 @@ measurement of the signal polarization. Loss is modeled unitarily by a
 beamsplitter into an explicit dump mode, so the full mode transformation
 stays unitary and "no photon in the dump" is a literal pattern constraint.
 
-``run_gate`` and ``heralded_kraus`` read the gate off one cached pair map
+``run_gate``, ``heralded_kraus`` and the a-scan read the gate off one cached pair map
 per (eta, loss), the 2x2 permanents of its mode unitary. The unitary is
 U_0 + sqrt(eta) U_r + sqrt(1 - eta) U_t, so each pair map is built as one
 product of the six monomials in sqrt(eta) and sqrt(1 - eta) with six terms
@@ -85,10 +85,15 @@ def meter_prep_strength(a: float) -> PureState:
     a = 0 leaves the signal unmeasured; a = sqrt(3)/2 reproduces |D(1/3)>,
     the projective limit of the eta = 1/3 gate.
     """
+    return PureState((2,), _strength_amps(a))
+
+
+def _strength_amps(a: float) -> np.ndarray:
+    """The amplitudes (a, sqrt(1 - a^2)) of ``meter_prep_strength``, a checked and clipped."""
     if not (0.0 <= a <= A_MAX + A_MAX_ATOL):
         raise PhotonicsError(f"strength a must lie in [0, {A_MAX:.6f}], got {a}")
     a = min(a, A_MAX)
-    return PureState((2,), np.array([a, math.sqrt(1.0 - a * a)]))
+    return np.array([a, math.sqrt(1.0 - a * a)])
 
 
 # HWP at 22.5 degrees on the meter polarization pair (H, V)
@@ -232,7 +237,8 @@ def strength_distinguishability(a: float, eta: float = 1.0 / 3.0):
     eta, in the H/V basis: K from the heralded likelihood L that the meter readout matches
     the signal output, K_bar from diagonal/antidiagonal signals read out in that basis. The
     balancing loss is always included. Also returns the equivalent CNOT strength sqrt(L).
+    The stack is ``heralded_kraus``'s own product, taken without building the meter state.
     """
-    m = heralded_kraus(meter_prep_strength(a), eta, include_signal_loss=True)
+    m = _pair_map(_check_eta(eta), True)[1] @ _strength_amps(a)
     _, pair, _ = metrics._read(m, Z_BASIS)
     return pair, math.sqrt((pair.k + 1.0) / 2.0)

@@ -226,6 +226,13 @@ def test_sweep_rejects_non_qubit():
         cq.strength_sweep([S, 1.0], ensemble=ensemble)
 
 
+@pytest.mark.parametrize("ensemble, index", [([hs.KET0.amps], 0), ([hs.KET0, ("|0>", hs.KET0)], 1)],
+                         ids=["amplitudes", "labelled_pair"])
+def test_sweep_rejects_an_ensemble_entry_that_is_not_a_state(ensemble, index):
+    with pytest.raises(hs.HilbertError, match=f"ensemble entry {index} must be a signal-qubit PureState"):
+        cq.strength_sweep([0.9], ensemble=ensemble)
+
+
 def test_strength_law_on_grid():
     grid = np.linspace(cq.GAMMA_MIN, 1.0, 50)
     random_basis = BasisSpec(random_unitary2(np.random.default_rng(17)))

@@ -467,6 +467,32 @@ def test_strength_endpoints_match_cnot():
     assert pair_on.k_bar == pytest.approx(0.0, abs=1e-10)
 
 
+def test_strength_scan_reads_the_heralded_kraus_stack():
+    # the scan is heralded_kraus's own stack, read by the one reader, not a second path
+    rng = np.random.default_rng(47)
+    for _ in range(200):
+        a, eta = float(rng.uniform(0.0, ph.A_MAX)), float(rng.uniform(0.01, 0.99))
+        m = heralded_kraus(meter_prep_strength(a), eta, include_signal_loss=True)
+        _, want, _ = metrics._read(m, hs.Z_BASIS)
+        pair, gamma_eff = ph.strength_distinguishability(a, eta)
+        assert (pair.k, pair.k_bar) == (want.k, want.k_bar)
+        assert gamma_eff == math.sqrt((want.k + 1.0) / 2.0)
+
+
+@pytest.mark.parametrize("a, eta", [(-1e-300, ETA), (ph.A_MAX + 2 * ph.A_MAX_ATOL, ETA), (1.0, ETA), (math.nan, ETA),
+                                    (0.5, 0.0), (0.5, 1.0), (0.5, math.nan)])
+def test_strength_scan_rejects_a_bad_strength_or_eta(a, eta):
+    with pytest.raises(PhotonicsError):
+        ph.strength_distinguishability(a, eta)
+
+
+def test_strength_scan_clips_a_just_above_a_max():
+    pair, gamma_eff = ph.strength_distinguishability(ph.A_MAX)
+    for a in (ph.A_MAX + 0.5 * ph.A_MAX_ATOL, ph.A_MAX + ph.A_MAX_ATOL):
+        above, above_gamma = ph.strength_distinguishability(a)
+        assert (above.k, above.k_bar, above_gamma) == (pair.k, pair.k_bar, gamma_eff)
+
+
 def test_meter_off_is_uncorrelated():
     res = run_gate(H, meter_prep_strength(0.0), include_signal_loss=True)
     joint = res.conditional_joint.amps.reshape(2, 2)
