@@ -27,9 +27,9 @@ def main() -> None:
 
     meter = ph.meter_prep(args.eta)
     inputs = [
-        ("|H>", PureState((2,), [1, 0])),
-        ("|V>", PureState((2,), [0, 1])),
-        ("|D>", PureState((2,), [S, S])),
+        ("|H>", PureState([1, 0])),
+        ("|V>", PureState([0, 1])),
+        ("|D>", PureState([S, S])),
     ]
 
     print(f"eta = {args.eta:.4f}, meter amplitudes = {np.round(meter.amps.real, 6)}")
@@ -37,7 +37,7 @@ def main() -> None:
     for label, sig in inputs:
         res = ph.run_gate(sig, meter, args.eta)
         lossy = ph.run_gate(sig, meter, args.eta, include_signal_loss=True)
-        joint = np.round(res.conditional_joint.amps, 4)
+        joint = np.round(res.conditional_joint.ravel(), 4)
         print(f"{label:>8} {res.success_prob:12.6f} {lossy.success_prob:18.6f} {joint!s:>24}")
 
     print("\nHong-Ou-Mandel coincidence reduction:")

@@ -152,11 +152,11 @@ def cmd_optics(params: dict) -> dict:
         label = str(params["signal"]).upper()
         if label not in ("H", "V"):
             raise CliError(f"signal must be H or V, got {params['signal']}", "signal")
-        signal = PureState((2,), [1, 0] if label == "H" else [0, 1])
+        signal = PureState([1, 0] if label == "H" else [0, 1])
     else:
         alpha = _number(params["alpha"], "alpha", default=1.0)
         beta = _number(params["beta"], "beta", default=0.0)
-        signal = _checked("alpha", ValueError, PureState.from_amplitudes, [alpha, beta], dims=(2,))
+        signal = _checked("alpha", ValueError, PureState.from_amplitudes, [alpha, beta])
     a = _number(params["strength_a"], "strength_a")
     if a is None:
         meter = _checked("eta", photonics.PhotonicsError, photonics.meter_prep, eta)
@@ -185,7 +185,7 @@ def cmd_weak(params: dict) -> dict:
     beta, gamma = _number(params["beta"], "beta"), _number(params["gamma"], "gamma")
     if beta is None or gamma is None:
         raise CliError("beta and gamma are required", "gamma")
-    _checked("alpha", ValueError, PureState, (2,), [alpha, beta])
+    _checked("alpha", ValueError, PureState, [alpha, beta])
     errors = (weakval.WeakValueError, cnot_qnd.StrengthError)
     plus, minus, p_plus = _checked("gamma", errors, weakval.postselected_mean_n, alpha, beta, gamma)
     results = {"analytic": {"plus_value": plus, "minus_value": minus, "p_plus": p_plus}}

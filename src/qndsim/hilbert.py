@@ -1,11 +1,9 @@
 """Validated values of the state core.
 
-Pure states over a list of subsystem dimensions, orthonormal measurement
-bases and probability vectors, each an immutable value checked when it is
-built (a qubit basis also caches the read matrices of ``metrics._read``),
-plus the probability-table check and short-axis sum that ``metrics``
-shares. Subsystem indexing is big-endian: the leftmost tensor factor
-is subsystem 0 (signal before meter, throughout).
+Pure states of one system, orthonormal measurement bases and probability
+vectors, each an immutable value checked when it is built and compared by
+identity (a qubit basis also caches the read matrices of ``metrics._read``),
+plus the probability-table check and short-axis sum that ``metrics`` shares.
 """
 
 from __future__ import annotations
@@ -35,24 +33,17 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
-    """Normalized state vector over subsystems of dimensions ``dims``."""
+    """Normalized state vector of one system."""
 
-    dims: tuple[int, ...]
     amps: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(map(int, self.dims))
-        amps = _as_readonly(np.asarray(self.amps).ravel())
-        object.__setattr__(self, "dims", dims)
+        amps = _as_readonly(self.amps)
         object.__setattr__(self, "amps", amps)
-        if dims and min(dims) < 1:
-            raise HilbertError("subsystem dimensions must be >= 1")
-        if amps.size != math.prod(dims):
-            raise HilbertError(
-                f"amplitude vector has length {amps.size}, expected {math.prod(dims)}"
-            )
+        if amps.ndim != 1:
+            raise HilbertError(f"amplitudes must form a 1-D array, got shape {amps.shape}")
         norm = float(np.vdot(amps, amps).real)
         if not abs(norm - 1.0) <= NORM_ATOL:  # a NaN or infinite amplitude fails too
             if not np.isfinite(amps.view(float)).all():
@@ -64,7 +55,7 @@ class PureState:
         return self.amps.size
 
     @classmethod
-    def from_amplitudes(cls, amps, dims=None) -> "PureState":
+    def from_amplitudes(cls, amps) -> "PureState":
         """Build a state from (possibly unnormalized) amplitudes. They are first scaled
         by the power of two that brings their largest real or imaginary part into
         [1/2, 1), which is exact and keeps the norm from overflowing."""
@@ -76,21 +67,12 @@ class PureState:
         n = np.linalg.norm(a)
         if math.ldexp(n, min(e, 0)) < ZERO_NORM:
             raise HilbertError("cannot normalize the zero vector")
-        if dims is None:
-            dims = (a.size,)
-        return cls(tuple(dims), a / n)
-
-    def to_json(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "re": self.amps.real.tolist(),
-            "im": self.amps.imag.tolist(),
-        }
+        return cls((a / n).reshape(np.shape(amps)))  # PureState rejects all but 1-D
 
 
 def qubit(alpha: complex, beta: complex) -> PureState:
     """Single-qubit state alpha|0> + beta|1> (normalized on input)."""
-    return PureState.from_amplitudes([alpha, beta], dims=(2,))
+    return PureState.from_amplitudes([alpha, beta])
 
 
 KET0 = qubit(1, 0)
@@ -99,7 +81,7 @@ PLUS = qubit(1 / math.sqrt(2), 1 / math.sqrt(2))
 MINUS = qubit(1 / math.sqrt(2), -1 / math.sqrt(2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasisSpec:
     """Orthonormal measurement basis: columns of ``vectors`` are the outcomes."""
 
@@ -161,7 +143,7 @@ def checked_probabilities(p) -> np.ndarray:
     return p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbDist:
     """Probability vector over measurement outcomes."""
 

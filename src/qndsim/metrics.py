@@ -114,7 +114,7 @@ def distinguishability(likelihood: float, p_c: float) -> DistinguishabilityPair:
     return DistinguishabilityPair(k=2 * likelihood - 1, k_bar=2 * p_c - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointDist:
     """Joint outcome distribution of two observables with their eigenvalues;
     leading axes of ``q`` hold a batch of distributions."""
@@ -166,9 +166,11 @@ def kraus_figures(m: np.ndarray, basis: BasisSpec) -> tuple[JointDist, Distingui
     stack is heralded). The joint distribution is that of the maximally
     mixed input read in ``basis``; its trace is F_QSP = L. K_bar uses the
     conjugate eigenstates, the columns of ``basis.vectors @ X_BASIS.vectors``.
-    MetricsError if ``m`` is not of shape (..., 2, 2, 2), is not finite or heralds
-    one of these inputs with probability 0.
+    MetricsError if ``basis`` is not a qubit basis, if ``m`` is not of shape (..., 2, 2, 2),
+    is not finite or heralds one of these inputs with probability 0.
     """
+    if basis.dim != 2:
+        raise MetricsError(f"basis must be a qubit basis, got dimension {basis.dim}")
     if np.shape(m)[-3:] != (2, 2, 2):
         raise MetricsError(f"Kraus stack must have shape (..., 2, 2, 2), got {np.shape(m)}")
     if not np.isfinite(m).all():

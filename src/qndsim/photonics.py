@@ -73,10 +73,7 @@ def meter_prep(eta: float) -> PureState:
     """
     if not (0.0 < eta <= 1.0):
         raise PhotonicsError(f"eta must lie in (0, 1], got {eta}")
-    return PureState(
-        (2,),
-        np.array([math.sqrt(1.0 / (1.0 + eta)), math.sqrt(eta / (1.0 + eta))]),
-    )
+    return PureState(np.array([math.sqrt(1.0 / (1.0 + eta)), math.sqrt(eta / (1.0 + eta))]))
 
 
 def meter_prep_strength(a: float) -> PureState:
@@ -85,7 +82,7 @@ def meter_prep_strength(a: float) -> PureState:
     a = 0 leaves the signal unmeasured; a = sqrt(3)/2 reproduces |D(1/3)>,
     the projective limit of the eta = 1/3 gate.
     """
-    return PureState((2,), _strength_amps(a))
+    return PureState(_strength_amps(a))
 
 
 def _strength_amps(a: float) -> np.ndarray:
@@ -166,25 +163,25 @@ def _pair_map(eta: float, loss: bool) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return maps[:-16].reshape(-1, 4), maps[-16:].reshape(2, 2, 2, 2), _GATE[loss][1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoincidenceResult:
     """Post-selected outcome of one gate run.
 
-    ``conditional_joint`` is the heralded (signal polarization, meter
-    polarization) two-qubit state, renormalized on success; the failure
-    probability is broken down by pattern class.
+    ``conditional_joint`` is the heralded state as a read-only complex (2, 2) array
+    J[i', k], signal polarization i' before meter polarization k, normalized on success
+    (None without); the failure probability is broken down by pattern class.
     """
 
     success_prob: float
-    conditional_joint: PureState | None
+    conditional_joint: np.ndarray | None
     failure_breakdown: dict
 
     def to_json(self) -> dict:
+        j = None if self.conditional_joint is None else self.conditional_joint.ravel()  # signal-major
+        joint = None if j is None else {"dims": [2, 2], "re": j.real.tolist(), "im": j.imag.tolist()}
         return {
             "success_prob": self.success_prob,
-            "conditional_joint": None
-            if self.conditional_joint is None
-            else self.conditional_joint.to_json(),
+            "conditional_joint": joint,
             "failure_breakdown": dict(self.failure_breakdown),
         }
 
@@ -225,8 +222,8 @@ def run_gate(
     failures = {"both_in_signal": both_in_signal, "both_in_meter": both_in_meter, "dump": dump}
     conditional = None
     if success > ZERO_BRANCH:
-        joint = phi.reshape(4 + loss, -1)[_SIG, _MET]
-        conditional = PureState((2, 2), joint / math.sqrt(success))
+        conditional = phi.reshape(4 + loss, -1)[_SIG, _MET] / math.sqrt(success)
+        conditional.setflags(write=False)
     return CoincidenceResult(success, conditional, failures)
 
 

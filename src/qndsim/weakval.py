@@ -215,7 +215,7 @@ def estimate_sampled(
     scale = 2.0 * prep.gamma**2 - 1.0
     if scale < SINGULAR_SCALE:
         raise WeakValueError("estimator singular: gamma = 1/sqrt(2) exactly")
-    psi = PureState.from_amplitudes([alpha, beta], dims=(2,))
+    psi = PureState.from_amplitudes([alpha, beta])
     branches = cnot_qnd.kraus(prep) @ psi.amps
     p_m = (np.abs(branches) ** 2).sum(axis=1)
     # probability of the final '+' result on each conditional signal state

@@ -79,7 +79,7 @@ def run(signal, prep, basis=hs.Z_BASIS):
         if p_m[k] < hs.ZERO_BRANCH:
             conditional.append((0.0, None, 0.0))
             continue
-        post = PureState.from_amplitudes(branches[k], dims=(2,))
+        post = PureState.from_amplitudes(branches[k])
         conditional.append((p_m[k], post, abs(np.vdot(basis.vectors[:, k], post.amps)) ** 2))
     return Run(joint.ravel(), joint @ joint.conj().T, branches @ branches.conj().T, p_in, p_out, p_m,
                conditional)

@@ -18,7 +18,7 @@ S = 1 / math.sqrt(2)
 
 def random_qubit(rng):
     a = rng.normal(size=2) + 1j * rng.normal(size=2)
-    return PureState.from_amplitudes(a, dims=(2,))
+    return PureState.from_amplitudes(a)
 
 
 def random_unitary2(rng):
@@ -162,7 +162,7 @@ def test_basis_covariance(seed, gamma):
     psi = random_qubit(rng)
     r = random_unitary2(rng)
     rotated_basis = BasisSpec(r @ np.eye(2))
-    rotated_psi = PureState((2,), r @ psi.amps)
+    rotated_psi = PureState(r @ psi.amps)
     out_z = run(psi, cq.MeterPrep(gamma))
     out_r = run(rotated_psi, cq.MeterPrep(gamma), rotated_basis)
     np.testing.assert_allclose(out_r.p_in, out_z.p_in, atol=1e-10)
@@ -221,7 +221,7 @@ def test_characterize_superposition_fm_is_one_when_off():
 
 def test_sweep_rejects_non_qubit():
     # a two-qubit probe is named as the wrong input, not failed on deep in numpy
-    ensemble = [hs.KET0, PureState((2, 2), np.eye(4)[0])]
+    ensemble = [hs.KET0, PureState(np.eye(4)[0])]
     with pytest.raises(hs.HilbertError, match="qubit"):
         cq.strength_sweep([S, 1.0], ensemble=ensemble)
 
@@ -238,7 +238,7 @@ def test_strength_law_on_grid():
     random_basis = BasisSpec(random_unitary2(np.random.default_rng(17)))
     for basis in (hs.Z_BASIS, hs.X_BASIS, hs.Y_BASIS, random_basis):
         # the Pauli ensemble carried into ``basis``, so it holds that basis's eigenstates
-        ensemble = [PureState((2,), basis.vectors @ s.amps) for s in cq.pauli_ensemble()]
+        ensemble = [PureState(basis.vectors @ s.amps) for s in cq.pauli_ensemble()]
         rows = cq.strength_sweep(grid, basis, ensemble)
         for g, row in zip(grid, rows):
             assert row.f_m == pytest.approx(g * g, abs=1e-10)
@@ -297,7 +297,7 @@ def test_sweep_ignores_probe_phase_and_order():
         basis = BasisSpec(random_unitary2(rng))
         ensemble = cq.pauli_ensemble() + [random_qubit(rng) for _ in range(4)]
         phases = np.exp(2j * np.pi * rng.uniform(size=len(ensemble)))
-        shuffled = [PureState((2,), ensemble[i].amps * phases[i]) for i in rng.permutation(len(ensemble))]
+        shuffled = [PureState(ensemble[i].amps * phases[i]) for i in rng.permutation(len(ensemble))]
         grid = rng.uniform(cq.GAMMA_MIN, 1.0, 20)
         rows, others = (cq.strength_sweep(grid, basis, probes) for probes in (ensemble, shuffled))
         np.testing.assert_allclose([[getattr(r, f) for f in cq.SWEEP_FIELDS] for r in others],

@@ -303,6 +303,17 @@ def test_kraus_figures_rejects_a_stack_of_the_wrong_shape(m):
         metrics.kraus_figures(m, BasisSpec(np.eye(2)))
 
 
+def _non_qubit_bases():
+    a = np.random.default_rng(11).normal(size=(2, 3, 3))
+    return [BasisSpec(np.eye(1)), BasisSpec(np.eye(3)), BasisSpec(np.linalg.qr(a[0] + 1j * a[1])[0])]
+
+
+@pytest.mark.parametrize("basis", _non_qubit_bases(), ids=["one", "three", "random_unitary3"])
+def test_kraus_figures_names_a_basis_that_is_not_a_qubit_basis(basis):
+    with pytest.raises(MetricsError, match=f"qubit basis, got dimension {basis.dim}"):
+        metrics.kraus_figures(_cnot_kraus(0.9), basis)
+
+
 def _reference_probe_statistics(m, basis, probes):
     """p_in, p_m and p_out of the input states ``probes`` (rows) under the
     stacks ``m``, by explicit einsum contractions: p_m from the computational
@@ -326,7 +337,7 @@ def test_reader_probe_columns_match_einsum_reference():
     rng = np.random.default_rng(73)
     probes = rng.normal(size=(7, 2)) + 1j * rng.normal(size=(7, 2))
     probes /= np.linalg.norm(probes, axis=1, keepdims=True)
-    ensemble = [PureState((2,), a) for a in probes]
+    ensemble = [PureState(a) for a in probes]
     gammas = rng.uniform(cnot_qnd.GAMMA_MIN, 1.0, 9)
     for _ in range(4):
         basis = BasisSpec(np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0])

@@ -25,8 +25,8 @@ from oracles import (FockState, LinearCircuit, ModeLayout, analytic_success, bui
                      pair_map, two_photon_input)
 
 ETA = 1.0 / 3.0
-H = PureState((2,), [1, 0])
-V = PureState((2,), [0, 1])
+H = PureState([1, 0])
+V = PureState([0, 1])
 
 
 # ----------------------------------------------------- permanent-based oracle
@@ -169,7 +169,7 @@ def test_circuit_of_numpy_eta_is_the_float_circuit():
         np.testing.assert_array_equal(build_qnd_circuit(eta)[1].u, circuit.u)
         got = run_gate(sig, meter, eta)
         assert (got.success_prob, got.failure_breakdown) == (res.success_prob, res.failure_breakdown)
-        np.testing.assert_array_equal(got.conditional_joint.amps, res.conditional_joint.amps)
+        np.testing.assert_array_equal(got.conditional_joint, res.conditional_joint)
         np.testing.assert_array_equal(heralded_kraus(meter, eta), kraus)
 
 
@@ -181,7 +181,7 @@ def test_memoized_gate_keys_on_eta_and_loss():
         layout, circuit = build_qnd_circuit(eta, loss)
         assert layout.n_modes == 4 + loss and dict(circuit.elements[0])["eta"] == eta
         res = run_gate(sig, meter, eta, loss)
-        got = (res.success_prob, res.failure_breakdown, list(res.conditional_joint.amps))
+        got = (res.success_prob, res.failure_breakdown, res.conditional_joint.tolist())
         got += (heralded_kraus(meter, eta, loss).tolist(),)
         if eta == ETA:
             assert res.success_prob == pytest.approx(analytic_success(0.6, 0.8j, loss), abs=1e-12)
@@ -193,6 +193,14 @@ def test_memoized_gate_hands_out_nothing_writable_it_keeps():
     kept = kraus.copy()
     kraus[...] = 0.0
     np.testing.assert_array_equal(heralded_kraus(meter_prep(ETA)), kept)
+
+
+def test_heralded_joint_is_a_read_only_complex_matrix():
+    joint = run_gate(PureState.from_amplitudes([0.6, 0.8j]), meter_prep(ETA)).conditional_joint
+    assert joint.shape == (2, 2) and joint.dtype == complex and not joint.flags.writeable
+    assert np.linalg.norm(joint) == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(ValueError, match="read-only"):
+        joint[0, 0] = 0.0
 
 
 def test_gate_cache_eviction_changes_no_value():
@@ -209,7 +217,7 @@ def test_gate_cache_eviction_changes_no_value():
             kraus, res = heralded_kraus(meter, eta, loss), run_gate(sig, meter, eta, loss)
         else:
             res, kraus = run_gate(sig, meter, eta, loss), heralded_kraus(meter, eta, loss)
-        got = (res.success_prob, res.failure_breakdown, res.conditional_joint.amps.tolist())
+        got = (res.success_prob, res.failure_breakdown, res.conditional_joint.tolist())
         got += (kraus.tolist(),)
         assert first.setdefault((eta, loss), got) == got
         kraus[...] = 7.0  # the caller's copy only
@@ -316,7 +324,7 @@ def test_lift_preserves_norm(seed):
 def test_run_gate_vertical_eigenstate():
     res = run_gate(V, meter_prep(ETA))
     assert res.success_prob == pytest.approx(0.5, abs=1e-10)
-    joint = res.conditional_joint.amps.reshape(2, 2)
+    joint = res.conditional_joint
     # heralded: signal stays V and the meter reads V after the waveplate
     assert abs(joint[1, 1]) == pytest.approx(1.0, abs=1e-10)
 
@@ -324,7 +332,7 @@ def test_run_gate_vertical_eigenstate():
 def test_run_gate_horizontal_eigenstate():
     res = run_gate(H, meter_prep(ETA))
     assert res.success_prob == pytest.approx(1 / 6, abs=1e-10)
-    joint = res.conditional_joint.amps.reshape(2, 2)
+    joint = res.conditional_joint
     assert abs(joint[0, 0]) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -341,7 +349,7 @@ def test_run_gate_probability_completeness():
     for _ in range(20):
         a = rng.normal(size=2)
         a /= np.linalg.norm(a)
-        sig = PureState((2,), a)
+        sig = PureState(a)
         for loss in (False, True):
             res = run_gate(sig, meter_prep(ETA), include_signal_loss=loss)
             total = res.success_prob + sum(res.failure_breakdown.values())
@@ -353,7 +361,7 @@ def test_run_gate_matches_analytic_success():
     for _ in range(100):
         a = rng.normal(size=2) + 1j * rng.normal(size=2)
         a /= np.linalg.norm(a)
-        sig = PureState((2,), a)
+        sig = PureState(a)
         for loss in (False, True):
             res = run_gate(sig, meter_prep(ETA), include_signal_loss=loss)
             assert res.success_prob == pytest.approx(
@@ -384,7 +392,7 @@ def fock_oracle_gate(signal, meter, eta, loss):
 def test_run_gate_and_heralded_kraus_match_fock_oracle():
     rng = np.random.default_rng(29)
     for _ in range(200):
-        sig = PureState.from_amplitudes(rng.normal(size=2) + 1j * rng.normal(size=2), dims=(2,))
+        sig = PureState.from_amplitudes(rng.normal(size=2) + 1j * rng.normal(size=2))
         eta = float(rng.uniform(0.0, 1.0))
         for meter in (meter_prep(eta), meter_prep(ETA)):
             for loss in (False, True):
@@ -393,9 +401,7 @@ def test_run_gate_and_heralded_kraus_match_fock_oracle():
                 expected = joint / math.sqrt(success)
                 res = run_gate(sig, meter, eta, include_signal_loss=loss)
                 assert abs(res.success_prob - success) <= 1e-14
-                np.testing.assert_allclose(
-                    res.conditional_joint.amps, expected.ravel(), rtol=0, atol=1e-14
-                )
+                np.testing.assert_allclose(res.conditional_joint, expected, rtol=0, atol=1e-14)
                 for name, p in failures.items():
                     assert abs(res.failure_breakdown[name] - p) <= 1e-14
                 branches = heralded_kraus(meter, eta, loss) @ sig.amps / math.sqrt(res.success_prob)
@@ -423,8 +429,8 @@ def test_full_strength_matches_projective_cnot_correlations():
         res = run_gate(sig, meter_prep(ETA))
         joint = res.conditional_joint
         # projective CNOT at gamma=1: joint is |i>|i> exactly
-        target = PureState((2, 2), np.eye(4)[3 * i])
-        assert abs(abs(np.vdot(joint.amps, target.amps)) - 1.0) < 1e-10
+        target = np.eye(4)[3 * i].reshape(2, 2)
+        assert abs(abs(np.vdot(joint, target)) - 1.0) < 1e-10
 
 
 def test_strength_grid_coherence():
@@ -436,15 +442,15 @@ def test_strength_grid_coherence():
 
 def test_strength_distinguishability_matches_run_gate():
     # L and P_c from the heralded joint states of run_gate, conditioned per input
-    diag = PureState((2,), [1, 1] / np.sqrt(2))
-    anti = PureState((2,), [1, -1] / np.sqrt(2))
+    diag = PureState([1, 1] / np.sqrt(2))
+    anti = PureState([1, -1] / np.sqrt(2))
     for eta in (ETA, 0.2, 0.7):
         for a in np.linspace(0.0, ph.A_MAX, 13):
             meter = meter_prep_strength(float(a))
 
             def joint(sig):
                 res = run_gate(sig, meter, eta, include_signal_loss=True)
-                return res.conditional_joint.amps.reshape(2, 2)  # [signal, meter]
+                return res.conditional_joint  # [signal, meter]
 
             # meter reading agrees with the eigenstate that went in
             likelihood = 0.5 * sum((np.abs(joint(s)[:, i]) ** 2).sum() for i, s in enumerate((H, V)))
@@ -495,11 +501,11 @@ def test_strength_scan_clips_a_just_above_a_max():
 
 def test_meter_off_is_uncorrelated():
     res = run_gate(H, meter_prep_strength(0.0), include_signal_loss=True)
-    joint = res.conditional_joint.amps.reshape(2, 2)
+    joint = res.conditional_joint
     p_meter = (np.abs(joint) ** 2).sum(axis=0)
     np.testing.assert_allclose(p_meter, [0.5, 0.5], atol=1e-10)
     res_v = run_gate(V, meter_prep_strength(0.0), include_signal_loss=True)
-    joint_v = res_v.conditional_joint.amps.reshape(2, 2)
+    joint_v = res_v.conditional_joint
     np.testing.assert_allclose(
         (np.abs(joint_v) ** 2).sum(axis=0), p_meter, atol=1e-10
     )

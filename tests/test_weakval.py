@@ -30,7 +30,7 @@ S = 1 / math.sqrt(2)
 
 def random_qubit(rng, real=False):
     a = rng.normal(size=2) + (0 if real else 1j * rng.normal(size=2))
-    return PureState.from_amplitudes(a, dims=(2,))
+    return PureState.from_amplitudes(a)
 
 
 # --------------------------------------------------------------- weak values
@@ -122,7 +122,7 @@ def test_scaled_weak_values_equal_the_unscaled_formulas():
     amps = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
     amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
     for x, (psi, phi) in zip((a + a.conj().swapaxes(1, 2)) / 2, amps):
-        psi, phi = PureState((2,), psi), PureState((2,), phi)
+        psi, phi = PureState(psi), PureState(phi)
         weak = complex(phi.amps.conj() @ x @ psi.amps) / complex(np.vdot(phi.amps, psi.amps))
         assert weak_value(x, psi, phi) == float(weak.real)
         evals, evecs = np.linalg.eigh(x)
@@ -133,7 +133,7 @@ def test_scaled_weak_values_equal_the_unscaled_formulas():
 def test_weak_value_unbounded_existence():
     # inputs with alpha ~ -beta push the weak value below -10
     eps = 0.01
-    psi = PureState.from_amplitudes([1.0, -(1.0 - eps)], dims=(2,))
+    psi = PureState.from_amplitudes([1.0, -(1.0 - eps)])
     assert weak_value(N_HAT, psi, hs.PLUS) < -10
 
 
@@ -411,7 +411,7 @@ def test_sampled_chunks_match_one_shot_draws(extra):
     alpha, beta, gamma, seed = 0.6 * np.exp(0.5j), 0.8 * np.exp(0.7j), 0.85, 9
     # one-shot formulation: every draw at once, then the sample mean and std
     m = cq.kraus(cq.MeterPrep(gamma))
-    branches = m @ PureState.from_amplitudes([alpha, beta], dims=(2,)).amps
+    branches = m @ PureState.from_amplitudes([alpha, beta]).amps
     p_m = (np.abs(branches) ** 2).sum(axis=1)
     p_plus = (np.abs(branches @ hs.PLUS.amps.conj()) ** 2) / p_m
     draws = np.random.Generator(np.random.Philox(seed)).random((shots, 2))
