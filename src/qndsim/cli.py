@@ -168,9 +168,10 @@ def cmd_optics(params: dict) -> dict:
         photonics.heralded_kraus(meter, eta, include_signal_loss=loss),
     ))
     results = result.to_json()
-    # post-selected signal/meter correlation, averaged over eigenstate inputs
-    joint, _ = metrics.kraus_figures(kraus, Z_BASIS)
-    results["c2"] = metrics.correlation_c2(joint)
+    # post-selected signal/meter correlation, averaged over eigenstate inputs: C^2 = K^2,
+    # since the H/V polarization observables have eigenvalues +-1
+    _, pair = metrics.kraus_figures(kraus, Z_BASIS)
+    results["c2"] = pair.k**2
     return results
 
 

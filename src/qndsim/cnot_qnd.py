@@ -96,8 +96,8 @@ def pauli_ensemble() -> list[PureState]:
 
 def _score(gammas, basis: BasisSpec, ensemble):
     """Per-input (F_M, F_QND) of the ``ensemble`` states, stacked as (2,) + gammas.shape
-    + (n_inputs,), then F_QSP, the pair (K, K_bar) and raw C^2 (gammas.shape), all read
-    from one Born table; only the basis and ensemble are checked here."""
+    + (n_inputs,), then F_QSP, K and K_bar (gammas.shape), all read from one Born table;
+    only the basis and ensemble are checked here."""
     if len(ensemble) == 0:
         raise hs.HilbertError("ensemble must be nonempty")
     for i, state in enumerate(ensemble):
@@ -105,9 +105,9 @@ def _score(gammas, basis: BasisSpec, ensemble):
             raise hs.HilbertError(f"ensemble entry {i} must be a signal-qubit PureState, got {state!r}")
     m = _kraus_stacks(gammas, basis)
     amps = np.array([state.amps for state in ensemble])
-    q, pair, probed = metrics._read(m, basis, amps)
+    _, likelihood, p_c, probed = metrics._read(m, basis, amps)
     p_in = np.abs(amps @ basis.vectors.conj()) ** 2
-    return metrics._fidelities(p_in, probed), q[..., 0, 0] + q[..., 1, 1], pair, metrics._c2(q)
+    return metrics._fidelities(p_in, probed), likelihood, 2 * likelihood - 1, 2 * p_c - 1
 
 
 @dataclass(frozen=True)
@@ -134,16 +134,18 @@ CSV_HEADER = ",".join(SWEEP_FIELDS)
 def strength_sweep(gammas, basis: BasisSpec = hs.Z_BASIS, ensemble=None) -> list[SweepRow]:
     """Characterize the device on a grid of strengths, in the given order; one point is the
     single-device result. ``ensemble`` is a list of qubit PureStates (default ``pauli_ensemble()``),
-    F_M and F_QND the worst case over it. ``c2_raw`` is C^2 of the joint outcome statistics,
-    ``c2_shortcut`` the qubit identity 2 F_QSP - 1, of which it is the square here."""
+    F_M and F_QND the worst case over it. The observables have eigenvalues +-1, so the C^2 of
+    the joint outcome statistics is K^2 (``c2_raw``) and its shortcut 2 F_QSP - 1 is K
+    (``c2_shortcut``), identities of the qubit joint table, not approximations."""
     g = np.fromiter(gammas, dtype=float)
     if g.size == 0:
         return []
     ensemble = pauli_ensemble() if ensemble is None else ensemble
-    f, f_qsp, pair, c2_raw = _score(_checked_gammas(g), basis, ensemble)
+    f, f_qsp, k, k_bar = _score(_checked_gammas(g), basis, ensemble)
     f_m, f_qnd = f.min(axis=-1)
-    table = np.stack((g, f_m, f_qnd, f_qsp, pair.k, pair.k_bar, pair.englert_lhs, c2_raw,
-                      metrics.c2_from_fqsp(f_qsp)), axis=-1).tolist()  # SWEEP_FIELDS order
+    c2 = k**2
+    # SWEEP_FIELDS order: englert K^2 + K_bar^2, c2_raw K^2, c2_shortcut K
+    table = np.stack((g, f_m, f_qnd, f_qsp, k, k_bar, c2 + k_bar**2, c2, k), axis=-1).tolist()
     # SweepRow(*values) without the frozen __init__, which sets each field
     # through object.__setattr__: the same rows in about half the time
     rows = [object.__new__(SweepRow) for _ in table]

@@ -3,7 +3,7 @@
 Pure states of one system, orthonormal measurement bases and probability
 vectors, each an immutable value checked when it is built and compared by
 identity (a qubit basis also caches the read matrices of ``metrics._read``),
-plus the probability-table check and short-axis sum that ``metrics`` shares.
+plus the probability-table check, and the short-axis sum that ``metrics`` shares.
 """
 
 from __future__ import annotations

@@ -1,12 +1,15 @@
 """Figures of merit for QND measurement devices.
 
-Classical fidelity, the measurement, QND and QSP fidelities, the
-distinguishability pair with the Englert trade-off and the signal-meter
-correlation C^2 of two discrete observables, each checked in the tests
-against an independent computation. Outside input is checked where it
-enters and not again: ``kraus_figures`` is the public, checked reader of a
-Kraus stack, and the scorers read the plain arrays of the internal
-``_read`` through the unchecked ``_fidelities`` and ``_c2``.
+Classical fidelity, the measurement, QND and QSP fidelities and the
+distinguishability pair with the Englert trade-off, each checked in the tests
+against an independent computation. The qubit observables that
+``kraus_figures`` reads have eigenvalues +-1, so for its joint table q
+<O_A O_B> = 2 tr q - 1 = K and <O^2> = 1: the paper's signal-meter
+correlation C^2 is K^2, and its shortcut 2 F_QSP - 1 is K, identities for
+any qubit stack and basis (not for other eigenvalues, nor for qudits). Outside
+input is checked where it enters and not again: ``kraus_figures`` is the
+public, checked reader of a Kraus stack, and the scorers read the plain arrays
+of the internal ``_read`` through the unchecked ``_fidelities``.
 """
 
 from __future__ import annotations
@@ -15,12 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import BasisSpec, ProbDist, _sum_last, checked_probabilities
+from .hilbert import BasisSpec, ProbDist, _sum_last
 
 RANGE_ATOL = 1e-12  # a figure of merit accepted this far outside its range, e.g. [0, 1]
-DEGENERATE_MOMENT = 1e-24  # <O_A^2><O_B^2> below this: an observable is zero, C^2 undefined
-_PLUS_MINUS = np.array([1.0, -1.0])  # eigenvalues of the qubit observables kraus_figures reads
-_PLUS_MINUS.setflags(write=False)
 
 
 class MetricsError(ValueError):
@@ -85,10 +85,10 @@ def qsp_fidelity(p_m, conditional) -> float:
     return float(np.dot(pm, np.clip(cond, 0.0, 1.0)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistinguishabilityPair:
     """Distinguishability of the QND observable (k) and its conjugate (k_bar);
-    numbers, or arrays of one shape for a batch of devices."""
+    numbers, or arrays of one shape for a batch of devices, so compared by identity."""
 
     k: float
     k_bar: float
@@ -114,58 +114,15 @@ def distinguishability(likelihood: float, p_c: float) -> DistinguishabilityPair:
     return DistinguishabilityPair(k=2 * likelihood - 1, k_bar=2 * p_c - 1)
 
 
-@dataclass(frozen=True, eq=False)
-class JointDist:
-    """Joint outcome distribution of two observables with their eigenvalues;
-    leading axes of ``q`` hold a batch of distributions."""
-
-    q: np.ndarray
-    eigvals_a: np.ndarray
-    eigvals_b: np.ndarray
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        ea = np.asarray(self.eigvals_a, dtype=float).ravel()
-        eb = np.asarray(self.eigvals_b, dtype=float).ravel()
-        if q.shape[-2:] != (ea.size, eb.size):
-            raise MetricsError("joint matrix shape must match eigenvalue lists")
-        for name, e in (("eigvals_a", ea), ("eigvals_b", eb)):
-            if not np.isfinite(e).all():
-                raise MetricsError(f"{name} must be finite, got {e.tolist()}")
-        q = checked_probabilities(q.reshape(q.shape[:-2] + (-1,))).reshape(q.shape)
-        for arr in (q, ea, eb):
-            arr.setflags(write=False)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "eigvals_a", ea)
-        object.__setattr__(self, "eigvals_b", eb)
-
-
-def correlation_c2(joint: JointDist) -> float:
-    """The paper's C^2 = |<O_A O_B>|^2 / (<O_A^2><O_B^2>) of the raw observables,
-    with any real eigenvalues. A batched ``joint`` gives one value per distribution."""
-    return _c2(joint.q, joint.eigvals_a, joint.eigvals_b)
-
-
-def _c2(q: np.ndarray, a=_PLUS_MINUS, b=_PLUS_MINUS) -> np.ndarray:
-    """``correlation_c2`` of the joint table ``q`` with eigenvalues ``a``, ``b``, unchecked."""
-    pa = _sum_last(q)
-    pb = _sum_last(q.swapaxes(-2, -1))
-    corr = _sum_last(_sum_last((a[..., :, None] * q).swapaxes(-2, -1)) * b)
-    denom = _sum_last(pa * a**2) * _sum_last(pb * b**2)
-    if np.any(denom < DEGENERATE_MOMENT):
-        raise MetricsError("degenerate observable: zero second moment")
-    return corr**2 / denom
-
-
-def kraus_figures(m: np.ndarray, basis: BasisSpec) -> tuple[JointDist, DistinguishabilityPair]:
-    """Joint (signal output, meter) distribution and (K, K_bar) of a Kraus stack.
+def kraus_figures(m: np.ndarray, basis: BasisSpec) -> tuple[np.ndarray, DistinguishabilityPair]:
+    """Joint (signal output, meter) distribution q and (K, K_bar) of a Kraus stack.
 
     ``m[..., k, :, :]`` is the signal operator for meter reading k; leading
     axes are a batch of devices, kept in the results. Each input psi is
     conditioned on its success probability sum_k |M_k psi|^2 (1 unless the
-    stack is heralded). The joint distribution is that of the maximally
-    mixed input read in ``basis``; its trace is F_QSP = L. K_bar uses the
-    conjugate eigenstates, the columns of ``basis.vectors @ X_BASIS.vectors``.
+    stack is heralded). The joint distribution, a read-only array q[..., j, k], is that
+    of the maximally mixed input read in ``basis``; its trace is F_QSP = L, and C^2 = K^2.
+    K_bar uses the conjugate eigenstates, the columns of ``basis.vectors @ X_BASIS.vectors``.
     MetricsError if ``basis`` is not a qubit basis, if ``m`` is not of shape (..., 2, 2, 2),
     is not finite or heralds one of these inputs with probability 0.
     """
@@ -177,8 +134,9 @@ def kraus_figures(m: np.ndarray, basis: BasisSpec) -> tuple[JointDist, Distingui
         raise MetricsError("Kraus stack has a non-finite entry")
     if not ((np.abs(m @ basis.outputs) ** 2).sum(axis=(-3, -2)) > 0).all():
         raise MetricsError("Kraus stack heralds a basis or conjugate input with probability 0")
-    q, pair, _ = _read(m, basis)
-    return JointDist(q, eigvals_a=_PLUS_MINUS, eigvals_b=_PLUS_MINUS), pair
+    q, likelihood, p_c, _ = _read(m, basis)
+    q.setflags(write=False)
+    return q, distinguishability(likelihood, p_c)
 
 
 # the rows (k, block, j, i) of the Born table's basis and conjugate inputs i, with input i
@@ -191,7 +149,7 @@ _FIGURES = 0.5 * np.hstack(((_BLOCK == 0) & (_I < 2) & (2 * _J + _K == np.arange
 
 
 def _read(m: np.ndarray, basis: BasisSpec, probes: np.ndarray | None = None):
-    """``kraus_figures`` of ``m``, unchecked and with q a plain array, and the
+    """``kraus_figures`` of ``m`` unchecked, as the plain arrays (q, L, P_c), and the
     unconditioned (p_m, p_out) of the rows of ``probes`` as (2, ...m's batch, n, 2), or None.
 
     The figures come from one Born table t[..., k, block, j, i] = |b_j^dag M_k b_i|^2 over
@@ -205,19 +163,11 @@ def _read(m: np.ndarray, basis: BasisSpec, probes: np.ndarray | None = None):
     c = (t / (t.reshape(-1, 32) @ _SUCCESS)[:, None]).reshape(-1, 32)  # conditioned on success
     f = (c @ _FIGURES).reshape(m.shape[:-3] + (5,))
     q = f[..., :4].reshape(f.shape[:-1] + (2, 2))  # q[..., j, k]: the maximally mixed input over V
-    pair = distinguishability(q[..., 0, 0] + q[..., 1, 1], f[..., 4])
+    likelihood, p_c = q[..., 0, 0] + q[..., 1, 1], f[..., 4]
     if probes is None:
-        return q, pair, None
+        return q, likelihood, p_c, None
     s_p = (basis.vectors.conj()[:, None, :, None] * probes.T[:, None, :]).reshape(4, -1)
     u = (np.abs(flat @ s_p) ** 2).reshape(m.shape[:-2] + (2, len(probes)))  # [..., k, j, probe]
     probed = np.stack((u[..., 0, :] + u[..., 1, :], u[..., 0, :, :] + u[..., 1, :, :]))
-    return q, pair, probed.swapaxes(-2, -1)
+    return q, likelihood, p_c, probed.swapaxes(-2, -1)
 
-
-def c2_from_fqsp(f_qsp: float) -> float:
-    """Qubit shortcut C^2 = 2 F_QSP - 1 (meaningful for F_QSP >= 1/2).
-
-    No clamping: values below 1/2 yield a negative number, which the
-    caller may interpret as anti-correlation.
-    """
-    return 2.0 * f_qsp - 1.0

@@ -230,12 +230,14 @@ def run_gate(
 def strength_distinguishability(a: float, eta: float = 1.0 / 3.0):
     """(K, K_bar) of the post-selected variable-strength gate.
 
-    Read unchecked by ``metrics._read`` off the heralded Kraus stack of the checked a and
-    eta, in the H/V basis: K from the heralded likelihood L that the meter readout matches
-    the signal output, K_bar from diagonal/antidiagonal signals read out in that basis. The
-    balancing loss is always included. Also returns the equivalent CNOT strength sqrt(L).
-    The stack is ``heralded_kraus``'s own product, taken without building the meter state.
+    Read by ``metrics._read`` off the heralded Kraus stack of the checked a and eta, in
+    the H/V basis, and range-checked as it leaves: K from the heralded likelihood L that
+    the meter readout matches the signal output, K_bar from diagonal/antidiagonal signals
+    read out in that basis. The balancing loss is always included. Also returns the
+    equivalent CNOT strength sqrt(L). The stack is ``heralded_kraus``'s own product,
+    taken without building the meter state.
     """
     m = _pair_map(_check_eta(eta), True)[1] @ _strength_amps(a)
-    _, pair, _ = metrics._read(m, Z_BASIS)
+    _, likelihood, p_c, _ = metrics._read(m, Z_BASIS)
+    pair = metrics.distinguishability(likelihood, p_c)
     return pair, math.sqrt((pair.k + 1.0) / 2.0)

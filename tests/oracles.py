@@ -13,6 +13,11 @@ through the mode unitary monomial by monomial. The tests compare the
 library's gate against both, and the expansion against an explicit
 permanent sum. ``analytic_success`` is the gate's closed-form heralding
 probability at eta = 1/3.
+
+``correlation_c2`` is the paper's signal-meter correlation C^2 of two
+observables with any real eigenvalues. The library reads C^2 as K^2, an
+identity only for the +-1 eigenvalues of its qubit observables; the tests
+check that identity against this general form.
 """
 
 from __future__ import annotations
@@ -26,10 +31,32 @@ import numpy as np
 from qndsim import cnot_qnd as cq
 from qndsim import hilbert as hs
 from qndsim.hilbert import NORM_ATOL, PureState
+from qndsim.metrics import MetricsError
 from qndsim.photonics import (_GATE, _MET, _SIG, PhotonicsError, _check_eta, _check_unitary,
                               _mode_unitary)
 
 PHASE_ATOL = 1e-10  # states whose |overlap| lies within this of 1 are equal up to phase
+DEGENERATE_MOMENT = 1e-24  # <O_A^2><O_B^2> below this: an observable is zero, C^2 undefined
+
+
+def correlation_c2(q, eigvals_a, eigvals_b):
+    """C^2 = |<O_A O_B>|^2 / (<O_A^2><O_B^2>) of the joint outcome table q[..., a, b] of two
+    observables with the real eigenvalues ``eigvals_a`` and ``eigvals_b``, by explicit sums
+    over the outcomes; one value per table of a batch. MetricsError if the table's shape does
+    not match the eigenvalues, an eigenvalue is not finite or an observable has zero second
+    moment."""
+    q = np.asarray(q, dtype=float)
+    ea, eb = (np.asarray(e, dtype=float).ravel() for e in (eigvals_a, eigvals_b))
+    if q.shape[-2:] != (ea.size, eb.size):
+        raise MetricsError("joint matrix shape must match eigenvalue lists")
+    for name, e in (("eigvals_a", ea), ("eigvals_b", eb)):
+        if not np.isfinite(e).all():
+            raise MetricsError(f"{name} must be finite, got {e.tolist()}")
+    corr = np.einsum("...ab,a,b->...", q, ea, eb)
+    denom = np.einsum("...ab,a->...", q, ea**2) * np.einsum("...ab,b->...", q, eb**2)
+    if np.any(denom < DEGENERATE_MOMENT):
+        raise MetricsError("degenerate observable: zero second moment")
+    return corr**2 / denom
 
 
 def mode_unitary(eta, loss):

@@ -78,12 +78,13 @@ def test_purestate_takes_no_subsystem_dimensions():
 
 
 def test_array_holding_values_compare_and_hash_by_identity():
-    pm = np.array([1.0, -1.0])
+    k = np.array([0.5, -0.5])
     pairs = [
         (BasisSpec(np.eye(2)), BasisSpec(np.eye(2))),
         (hs.KET0, hs.qubit(1, 0)),
         (ProbDist([0.5, 0.5]), ProbDist([0.5, 0.5])),
-        (metrics.JointDist(np.eye(2) / 2, pm, pm), metrics.JointDist(np.eye(2) / 2, pm, pm)),
+        (metrics.DistinguishabilityPair(0.5, 0.5), metrics.DistinguishabilityPair(0.5, 0.5)),
+        (metrics.DistinguishabilityPair(k, k), metrics.DistinguishabilityPair(k, k)),
         (ph.run_gate(hs.KET0, ph.meter_prep(1 / 3)), ph.run_gate(hs.KET0, ph.meter_prep(1 / 3))),
     ]
     for a, b in pairs:
@@ -161,7 +162,7 @@ def test_equal_bases_read_a_stack_bit_for_bit_alike():
     for basis in _read_matrix_bases():
         twin = BasisSpec(basis.vectors.copy())  # its read matrices not built yet
         (joint, pair), (twin_joint, twin_pair) = (metrics.kraus_figures(m, b) for b in (basis, twin))
-        for got, want in ((twin_joint.q, joint.q), (twin_pair.k, pair.k), (twin_pair.k_bar, pair.k_bar)):
+        for got, want in ((twin_joint, joint), (twin_pair.k, pair.k), (twin_pair.k_bar, pair.k_bar)):
             assert got.tobytes() == want.tobytes()
 
 

@@ -7,15 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import correlation_c2
 from qndsim import metrics
 from qndsim.hilbert import X_BASIS, BasisSpec
 from qndsim.metrics import (
     DistinguishabilityPair,
-    JointDist,
     MetricsError,
-    c2_from_fqsp,
     classical_fidelity,
-    correlation_c2,
     distinguishability,
     measurement_fidelity,
     qnd_fidelity,
@@ -23,6 +21,7 @@ from qndsim.metrics import (
 )
 
 dists = st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=6)
+PM = np.array([1.0, -1.0])  # eigenvalues of the qubit observables the library reads
 
 
 def test_fidelity_identical():
@@ -114,14 +113,15 @@ def test_range_check_names_the_value_outside(lo, bad, batched):
             DistinguishabilityPair(k=np.array([0.0, value]) if batched else value, k_bar=0.0)
 
 
+# ------------------------------------- the general C^2 oracle, and C^2 = K^2
+
+
 def test_correlation_perfect():
-    j = JointDist(np.diag([0.5, 0.5]), [1, -1], [1, -1])
-    assert correlation_c2(j) == pytest.approx(1.0, abs=1e-12)
+    assert correlation_c2(np.diag([0.5, 0.5]), PM, PM) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_correlation_independent_uniform():
-    j = JointDist(np.full((2, 2), 0.25), [1, -1], [1, -1])
-    assert correlation_c2(j) == pytest.approx(0.0, abs=1e-12)
+    assert correlation_c2(np.full((2, 2), 0.25), PM, PM) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_correlation_gate_joint():
@@ -129,33 +129,74 @@ def test_correlation_gate_joint():
     g = 0.87
     gb2 = 1 - g * g
     q = np.array([[g * g, gb2], [gb2, g * g]]) / 2
-    ez = np.array([1.0, -1.0])
-    corr = float(ez @ q @ ez)
+    corr = float(PM @ q @ PM)
     expected = corr**2  # unit second moments
     assert expected == pytest.approx((2 * g * g - 1) ** 2, abs=1e-12)
-    assert correlation_c2(JointDist(q, ez, ez)) == pytest.approx(expected, abs=1e-12)
+    assert correlation_c2(q, PM, PM) == pytest.approx(expected, abs=1e-12)
+
+
+def test_correlation_with_eigenvalues_other_than_plus_minus_one():
+    # <O_A O_B> = 0.5 * 2 * 1, <O_A^2> = 0.5 * 4, <O_B^2> = 1: C^2 = 1/2, where K = 1
+    assert correlation_c2(np.diag([0.5, 0.5]), [2.0, 0.0], PM) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_correlation_degenerate_observable():
-    j = JointDist(np.diag([0.5, 0.5]), [0, 0], [1, -1])
     with pytest.raises(MetricsError):
-        correlation_c2(j)
+        correlation_c2(np.diag([0.5, 0.5]), [0, 0], PM)
+
+
+def test_correlation_rejects_a_table_that_does_not_match_the_eigenvalues():
+    with pytest.raises(MetricsError, match="shape must match"):
+        correlation_c2(np.full((2, 3), 1 / 6), PM, PM)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("axis", ["eigvals_a", "eigvals_b"])
-def test_joint_dist_rejects_non_finite_eigenvalues(axis, bad):
+def test_correlation_rejects_non_finite_eigenvalues(axis, bad):
     eigvals = {"eigvals_a": [1.0, -1.0], "eigvals_b": [1.0, -1.0], axis: [bad, 1.0]}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(MetricsError, match=re.escape(f"{axis} must be finite, got [{bad}, 1.0]")):
-            JointDist(np.diag([0.5, 0.5]), **eigvals)
+            correlation_c2(np.diag([0.5, 0.5]), **eigvals)
 
 
 def test_c2_shortcut():
-    assert c2_from_fqsp(1.0) == pytest.approx(1.0)
-    assert c2_from_fqsp(0.5) == pytest.approx(0.0)
-    assert c2_from_fqsp(0.64) == pytest.approx(0.28, abs=1e-12)
+    # 2 F_QSP - 1 at F_QSP = 1, 1/2 and 0.64 (gamma = 1, 1/sqrt(2) and 0.8)
+    from qndsim import cnot_qnd
+
+    rows = cnot_qnd.strength_sweep([1.0, cnot_qnd.GAMMA_MIN, 0.8])
+    assert [r.f_qsp for r in rows] == pytest.approx([1.0, 0.5, 0.64], abs=1e-12)
+    assert [r.c2_shortcut for r in rows] == pytest.approx([1.0, 0.0, 0.28], abs=1e-12)
+
+
+def _random_bases(rng, n):
+    return [BasisSpec(np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]) for _ in range(n)]
+
+
+def test_sweep_c2_columns_are_the_general_c2_and_the_qsp_shortcut():
+    from qndsim import cnot_qnd
+
+    rng = np.random.default_rng(97)
+    gammas = np.linspace(cnot_qnd.GAMMA_MIN, 1.0, 50)
+    for basis in _random_bases(rng, 50):
+        rows = cnot_qnd.strength_sweep(gammas, basis)
+        c2_raw, c2_shortcut, f_qsp = np.array([[r.c2_raw, r.c2_shortcut, r.f_qsp] for r in rows]).T
+        stacks = np.array([cnot_qnd.kraus(cnot_qnd.MeterPrep(g), basis) for g in gammas])
+        q = _reference_figures(stacks, basis)[0]
+        np.testing.assert_allclose(c2_raw, correlation_c2(q, PM, PM), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(c2_shortcut, 2 * f_qsp - 1, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(f_qsp, np.einsum("...ii->...", q), rtol=0, atol=1e-15)
+
+
+def test_kraus_figures_k_squared_is_the_general_c2_on_heralded_stacks():
+    from qndsim import photonics
+
+    rng = np.random.default_rng(89)
+    for basis in _random_bases(rng, 100):
+        eta, loss = float(rng.uniform(0.05, 0.95)), bool(rng.integers(2))
+        meter = photonics.meter_prep_strength(float(rng.uniform(0.0, photonics.A_MAX)))
+        q, pair = metrics.kraus_figures(photonics.heralded_kraus(meter, eta, loss), basis)
+        assert abs(pair.k**2 - correlation_c2(q, PM, PM)) <= 1e-15
 
 
 # ------------------------------------------------------------------ properties
@@ -221,7 +262,7 @@ def _reader_stacks():
 
 
 def _reference_figures(m, basis):
-    """q, K, K_bar and C^2, by explicit einsum contractions."""
+    """q, K and K_bar, by explicit einsum contractions."""
 
     def conditioned(v):
         w = np.abs(np.einsum("sj,...kst,ti->...kji", v.conj(), m, v)) ** 2
@@ -229,28 +270,20 @@ def _reference_figures(m, basis):
 
     q = 0.5 * np.einsum("...kji->...jk", conditioned(basis.vectors))
     p_c = 0.5 * np.einsum("...kii->...", conditioned(basis.vectors @ X_BASIS.vectors))
-    ev = np.array([1.0, -1.0])
-    pa, pb = q.sum(axis=-1), q.sum(axis=-2)
-    corr = np.einsum("...ij,i,j->...", q, ev, ev)
-    c2 = corr**2 / (np.einsum("...i,i->...", pa, ev**2) * np.einsum("...j,j->...", pb, ev**2))
-    return q, 2 * np.einsum("...ii->...", q) - 1, 2 * p_c - 1, c2
+    return q, 2 * np.einsum("...ii->...", q) - 1, 2 * p_c - 1
 
 
 def test_batched_reader_matches_per_stack_calls_and_einsum_reference():
     m, basis = _reader_stacks()
     joint, pair = metrics.kraus_figures(m, basis)
-    c2 = correlation_c2(joint)
-    assert joint.q.shape == (3, 4, 2, 2) and pair.k.shape == c2.shape == (3, 4)
+    assert joint.shape == (3, 4, 2, 2) and pair.k.shape == pair.k_bar.shape == (3, 4)
+    assert not joint.flags.writeable
     for idx in np.ndindex(3, 4):
         one_joint, one_pair = metrics.kraus_figures(m[idx], basis)
-        np.testing.assert_allclose(joint.q[idx], one_joint.q, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(
-            [pair.k[idx], pair.k_bar[idx], c2[idx]],
-            [one_pair.k, one_pair.k_bar, correlation_c2(one_joint)],
-            rtol=0, atol=1e-15,
-        )
-    q, k, k_bar, ref_c2 = _reference_figures(m, basis)
-    for got, want in [(joint.q, q), (pair.k, k), (pair.k_bar, k_bar), (c2, ref_c2)]:
+        np.testing.assert_allclose(joint[idx], one_joint, rtol=0, atol=1e-15)
+        np.testing.assert_allclose([pair.k[idx], pair.k_bar[idx]], [one_pair.k, one_pair.k_bar], rtol=0, atol=1e-15)
+    q, k, k_bar = _reference_figures(m, basis)
+    for got, want in [(joint, q), (pair.k, k), (pair.k_bar, k_bar), (pair.k**2, correlation_c2(q, PM, PM))]:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
@@ -342,7 +375,7 @@ def test_reader_probe_columns_match_einsum_reference():
     for _ in range(4):
         basis = BasisSpec(np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0])
         p_in, p_m, p_out = _reference_probe_statistics(m, basis, probes)
-        _, _, probed = metrics._read(m, basis, probes)
+        probed = metrics._read(m, basis, probes)[3]
         assert probed.shape == (2, 3, 4, 7, 2)
         np.testing.assert_allclose(probed[0], p_m, rtol=0, atol=1e-14)
         np.testing.assert_allclose(probed[1], p_out, rtol=0, atol=1e-14)

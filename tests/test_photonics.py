@@ -344,6 +344,16 @@ def test_run_gate_failure_breakdown_vertical():
     assert res.failure_breakdown["dump"] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_run_gate_keeps_a_rare_but_possible_herald():
+    # an H signal is heralded only when reflected on the eta-BS: with probability eta = 1e-6,
+    # far above ZERO_BRANCH, and then the meter's V leaves the HWP as (H - V)/sqrt(2)
+    res = run_gate(hs.KET0, hs.KET1, 1e-6)
+    assert res.success_prob == 1e-06
+    assert res.conditional_joint is not None
+    np.testing.assert_allclose(res.conditional_joint, [[math.sqrt(0.5), -math.sqrt(0.5)], [0.0, 0.0]],
+                               rtol=0, atol=1e-12)
+
+
 def test_run_gate_probability_completeness():
     rng = np.random.default_rng(11)
     for _ in range(20):
@@ -479,10 +489,11 @@ def test_strength_scan_reads_the_heralded_kraus_stack():
     for _ in range(200):
         a, eta = float(rng.uniform(0.0, ph.A_MAX)), float(rng.uniform(0.01, 0.99))
         m = heralded_kraus(meter_prep_strength(a), eta, include_signal_loss=True)
-        _, want, _ = metrics._read(m, hs.Z_BASIS)
+        _, likelihood, p_c, _ = metrics._read(m, hs.Z_BASIS)
+        want_k, want_k_bar = 2 * likelihood - 1, 2 * p_c - 1
         pair, gamma_eff = ph.strength_distinguishability(a, eta)
-        assert (pair.k, pair.k_bar) == (want.k, want.k_bar)
-        assert gamma_eff == math.sqrt((want.k + 1.0) / 2.0)
+        assert (pair.k, pair.k_bar) == (want_k, want_k_bar)
+        assert gamma_eff == math.sqrt((want_k + 1.0) / 2.0)
 
 
 @pytest.mark.parametrize("a, eta", [(-1e-300, ETA), (ph.A_MAX + 2 * ph.A_MAX_ATOL, ETA), (1.0, ETA), (math.nan, ETA),
