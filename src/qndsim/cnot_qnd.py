@@ -8,12 +8,15 @@ by conjugating the CNOT with the rotation taking that basis to the
 computational one.
 
 Every statistic is read off the gate's Kraus stack on the signal (``kraus``), a
-grid of strengths being one more axis (``strength_sweep``). Inputs are checked
-where they enter; the scorer reads ``metrics._read``'s plain arrays unchecked.
+grid of strengths being one more axis (``strength_sweep``). The stack is linear
+in the meter amplitudes c = (gamma, gamma_bar): it is c @ G(basis), with G built
+once per basis. Inputs are checked where they enter; the scorer reads
+``metrics._read``'s plain arrays unchecked.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -38,7 +41,7 @@ def _checked_gammas(gammas) -> np.ndarray:
     ok = (GAMMA_MIN - GAMMA_ATOL <= g) & (g <= 1.0 + GAMMA_ATOL)
     if not ok.all():
         raise StrengthError(f"gamma out of range [{GAMMA_MIN:.4f}, 1]: {g[~ok][0]}")
-    return np.clip(g, GAMMA_MIN, 1.0)
+    return np.minimum(np.maximum(g, GAMMA_MIN), 1.0)
 
 
 @dataclass(frozen=True)
@@ -59,29 +62,24 @@ class MeterPrep:
         return math.sqrt(1.0 - self.gamma**2)
 
 
+@functools.lru_cache(maxsize=metrics.READ_CACHE_SIZE)
+def _meter_stacks(basis: BasisSpec) -> np.ndarray:
+    """G(basis), the stacks [P_k, P_{1-k}] at c = (1, 0) and (0, 1), flattened to a read-only
+    real (2, 16) array: c @ G, viewed as complex, is the stack at meter amplitudes c."""
+    v = basis.vectors
+    p = v.T[:, :, None] * v.conj().T[:, None, :]  # p[j] = v_j v_j^dag
+    return hs._as_readonly(np.array([p, p[::-1]]).reshape(2, -1).view(float), float)
+
+
 def kraus(prep: MeterPrep, basis: BasisSpec = hs.Z_BASIS) -> np.ndarray:
     """Kraus operators of the gate on the signal, shape (2, 2, 2).
 
-    ``kraus(prep, basis)[k]`` is M_k = R^dag diag(c_k, c_{1-k}) R with
-    c = (gamma, gamma_bar) and R the rotation taking ``basis`` to the
-    computational basis: M_k |psi> is the signal branch that goes with
-    meter reading k.
-    """
-    return _kraus_stacks(prep.gamma, basis)
-
-
-def _kraus_stacks(gammas, basis: BasisSpec) -> np.ndarray:
-    """``kraus`` at every strength in ``gammas``, each already checked
-    and clipped: gammas.shape + (2, 2, 2)."""
-    if basis.dim != 2:
-        raise hs.HilbertError("observable basis must be a qubit basis")
-    g = np.asarray(gammas)
-    c = np.empty(g.shape + (4,))  # c[..., k, :] = (c_k, c_{1-k}), flattened
-    c[..., ::3] = g[..., None]
-    c[..., 1:3] = np.sqrt(1.0 - g**2)[..., None]
-    v = basis.vectors
-    x = v * c.reshape(g.shape + (2, 1, 2))
-    return (x.reshape(-1, 2) @ v.conj().T).reshape(x.shape)
+    ``kraus(prep, basis)[k]`` is M_k = c_0 P_k + c_1 P_{1-k}, with c = (gamma, gamma_bar) and
+    P_j the projector on the j-th vector of ``basis``, so the stack c @ G(basis) is linear in
+    the meter amplitudes: M_k |psi> is the signal branch that goes with meter reading k.
+    HilbertError if ``basis`` is not a qubit BasisSpec."""
+    g = _meter_stacks(metrics._qubit_basis(basis, hs.HilbertError))
+    return (np.array([prep.gamma, prep.gamma_bar]) @ g).view(complex).reshape(2, 2, 2)
 
 
 _S = 1 / math.sqrt(2)
@@ -92,22 +90,6 @@ def pauli_ensemble() -> list[PureState]:
     """The six Pauli eigenstates |0>, |1>, |+>, |->, |+i>, |-i>; default probe
     set spanning the qubit space."""
     return list(_PAULI_ENSEMBLE)
-
-
-def _score(gammas, basis: BasisSpec, ensemble):
-    """Per-input (F_M, F_QND) of the ``ensemble`` states, stacked as (2,) + gammas.shape
-    + (n_inputs,), then F_QSP, K and K_bar (gammas.shape), all read from one Born table;
-    only the basis and ensemble are checked here."""
-    if len(ensemble) == 0:
-        raise hs.HilbertError("ensemble must be nonempty")
-    for i, state in enumerate(ensemble):
-        if not (isinstance(state, PureState) and state.dim == 2):
-            raise hs.HilbertError(f"ensemble entry {i} must be a signal-qubit PureState, got {state!r}")
-    m = _kraus_stacks(gammas, basis)
-    amps = np.array([state.amps for state in ensemble])
-    _, likelihood, p_c, probed = metrics._read(m, basis, amps)
-    p_in = np.abs(amps @ basis.vectors.conj()) ** 2
-    return metrics._fidelities(p_in, probed), likelihood, 2 * likelihood - 1, 2 * p_c - 1
 
 
 @dataclass(frozen=True)
@@ -138,18 +120,30 @@ def strength_sweep(gammas, basis: BasisSpec = hs.Z_BASIS, ensemble=None) -> list
     the joint outcome statistics is K^2 (``c2_raw``) and its shortcut 2 F_QSP - 1 is K
     (``c2_shortcut``), identities of the qubit joint table, not approximations."""
     g = np.fromiter(gammas, dtype=float)
+    metrics._qubit_basis(basis, hs.HilbertError)
     if g.size == 0:
         return []
-    ensemble = pauli_ensemble() if ensemble is None else ensemble
-    f, f_qsp, k, k_bar = _score(_checked_gammas(g), basis, ensemble)
-    f_m, f_qnd = f.min(axis=-1)
-    c2 = k**2
-    # SWEEP_FIELDS order: englert K^2 + K_bar^2, c2_raw K^2, c2_shortcut K
-    table = np.stack((g, f_m, f_qnd, f_qsp, k, k_bar, c2 + k_bar**2, c2, k), axis=-1).tolist()
+    probes = tuple(pauli_ensemble() if ensemble is None else ensemble)  # the read cache's key
+    if len(probes) == 0:
+        raise hs.HilbertError("ensemble must be nonempty")
+    for i, state in enumerate(probes):
+        if not (isinstance(state, PureState) and state.dim == 2):
+            raise hs.HilbertError(f"ensemble entry {i} must be a signal-qubit PureState, got {state!r}")
+    c = np.empty((g.size, 2))  # the meter amplitudes (gamma, gamma_bar) of each point
+    c[:, 0] = _checked_gammas(g)
+    c[:, 1] = np.sqrt(1.0 - c[:, 0] ** 2)
+    m = (c @ _meter_stacks(basis)).view(complex).reshape(-1, 2, 2, 2)
+    _, likelihood, p_c, f = metrics._read(m, basis, probes)
+    table = np.empty((g.size, len(SWEEP_FIELDS)))  # the SWEEP_FIELDS columns, each written once
+    np.minimum.reduce(f, axis=0, out=table[:, 1:3].T)  # F_M and F_QND of the worst probe
+    table[:, 0], table[:, 3], table[:, 5] = g, likelihood, 2 * p_c - 1  # gamma, F_QSP, K_bar
+    table[:, 4] = table[:, 8] = 2 * likelihood - 1  # K, and c2_shortcut K
+    table[:, 7] = table[:, 4] ** 2  # c2_raw K^2
+    table[:, 6] = table[:, 7] + table[:, 5] ** 2  # englert K^2 + K_bar^2
     # SweepRow(*values) without the frozen __init__, which sets each field
     # through object.__setattr__: the same rows in about half the time
-    rows = [object.__new__(SweepRow) for _ in table]
-    for row, values in zip(rows, table):
+    rows = [object.__new__(SweepRow) for _ in range(g.size)]
+    for row, values in zip(rows, table.tolist()):
         row.__dict__.update(zip(SWEEP_FIELDS, values))
     return rows
 

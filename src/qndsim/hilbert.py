@@ -27,8 +27,8 @@ class HilbertError(ValueError):
     """Invalid state, basis or operation in the state core."""
 
 
-def _as_readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=complex)
+def _as_readonly(a: np.ndarray, dtype=complex) -> np.ndarray:
+    out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
 

@@ -9,18 +9,20 @@ correlation C^2 is K^2, and its shortcut 2 F_QSP - 1 is K, identities for
 any qubit stack and basis (not for other eigenvalues, nor for qudits). Outside
 input is checked where it enters and not again: ``kraus_figures`` is the
 public, checked reader of a Kraus stack, and the scorers read the plain arrays
-of the internal ``_read`` through the unchecked ``_fidelities``.
+of the internal ``_read``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import BasisSpec, ProbDist, _sum_last
+from .hilbert import BasisSpec, ProbDist, _as_readonly, _sum_last
 
 RANGE_ATOL = 1e-12  # a figure of merit accepted this far outside its range, e.g. [0, 1]
+READ_CACHE_SIZE = 64  # (basis, probe states) pairs whose read matrices ``_read`` keeps
 
 
 class MetricsError(ValueError):
@@ -53,12 +55,7 @@ def classical_fidelity(p, q) -> float:
     pa, qa = _as_dist(p), _as_dist(q)
     if pa.size != qa.size:
         raise MetricsError(f"distribution length mismatch: {pa.size} vs {qa.size}")
-    return float(_fidelities(pa, qa))
-
-
-def _fidelities(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """F(p, q) along the last axis of stacks of probability vectors, unchecked."""
-    return _sum_last(np.sqrt(p * q)) ** 2
+    return float(_sum_last(np.sqrt(pa * qa)) ** 2)
 
 
 def measurement_fidelity(p_in, p_m) -> float:
@@ -114,6 +111,15 @@ def distinguishability(likelihood: float, p_c: float) -> DistinguishabilityPair:
     return DistinguishabilityPair(k=2 * likelihood - 1, k_bar=2 * p_c - 1)
 
 
+def _qubit_basis(basis, error: type[ValueError]) -> BasisSpec:
+    """``basis``; ``error`` naming it unless it is a qubit BasisSpec."""
+    if not isinstance(basis, BasisSpec):
+        raise error(f"basis must be a BasisSpec, got {type(basis).__name__}")
+    if basis.dim != 2:
+        raise error(f"basis must be a qubit basis, got dimension {basis.dim}")
+    return basis
+
+
 def kraus_figures(m: np.ndarray, basis: BasisSpec) -> tuple[np.ndarray, DistinguishabilityPair]:
     """Joint (signal output, meter) distribution q and (K, K_bar) of a Kraus stack.
 
@@ -123,13 +129,13 @@ def kraus_figures(m: np.ndarray, basis: BasisSpec) -> tuple[np.ndarray, Distingu
     stack is heralded). The joint distribution, a read-only array q[..., j, k], is that
     of the maximally mixed input read in ``basis``; its trace is F_QSP = L, and C^2 = K^2.
     K_bar uses the conjugate eigenstates, the columns of ``basis.vectors @ X_BASIS.vectors``.
-    MetricsError if ``basis`` is not a qubit basis, if ``m`` is not of shape (..., 2, 2, 2),
+    MetricsError if ``basis`` is not a qubit BasisSpec, if ``m`` is not of shape (..., 2, 2, 2),
     is not finite or heralds one of these inputs with probability 0.
     """
-    if basis.dim != 2:
-        raise MetricsError(f"basis must be a qubit basis, got dimension {basis.dim}")
-    if np.shape(m)[-3:] != (2, 2, 2):
-        raise MetricsError(f"Kraus stack must have shape (..., 2, 2, 2), got {np.shape(m)}")
+    m = np.asarray(m)
+    _qubit_basis(basis, MetricsError)
+    if m.shape[-3:] != (2, 2, 2):
+        raise MetricsError(f"Kraus stack must have shape (..., 2, 2, 2), got {m.shape}")
     if not np.isfinite(m).all():
         raise MetricsError("Kraus stack has a non-finite entry")
     if not ((np.abs(m @ basis.outputs) ** 2).sum(axis=(-3, -2)) > 0).all():
@@ -148,26 +154,41 @@ _FIGURES = 0.5 * np.hstack(((_BLOCK == 0) & (_I < 2) & (2 * _J + _K == np.arange
                             (_BLOCK == 1) & (_J == _I - 2)))
 
 
-def _read(m: np.ndarray, basis: BasisSpec, probes: np.ndarray | None = None):
+@functools.lru_cache(maxsize=READ_CACHE_SIZE)
+def _probe_read(basis: BasisSpec, probes: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_read``'s read-only matrices for a tuple of PureStates ``probes``, kept per basis
+    and tuple (both compare by identity, and neither can change): the read matrix [S | S_P],
+    with S = ``basis.born_products`` and S_P[(o, n), (j, p)] = conj(V[o, j]) a_p[n]; R, the 0/1
+    matrix that sums u[(k, j, p)] = |v_j^dag M_k a_p|^2 over j into p_m and over k into p_out,
+    as rows (p, fidelity, outcome); and W, which weighs those rows by sqrt(p_in[p, outcome])
+    into rows (p, fidelity), so that the unconditioned fidelities are (W @ sqrt(R @ u))^2."""
+    a, v = np.array([state.amps for state in probes]), basis.vectors
+    s_p = (v.conj()[:, None, :, None] * a.T[:, None, :]).reshape(4, -1)
+    p, fid, o = np.indices((len(a), 2, 2)).reshape(3, -1, 1)  # rows of R, columns of W
+    k, j, p_u = np.indices((2, 2, len(a))).reshape(3, 1, -1)  # columns of R: u's rows
+    r = (p == p_u) & (o == np.where(fid, j, k))
+    w = (np.abs(a @ v.conj())[p, o] * (2 * p + fid == np.arange(2 * len(a)))).T
+    return _as_readonly(np.hstack((basis.born_products, s_p))), _as_readonly(r, float), _as_readonly(w, float)
+
+
+def _read(m: np.ndarray, basis: BasisSpec, probes: tuple | None = None):
     """``kraus_figures`` of ``m`` unchecked, as the plain arrays (q, L, P_c), and the
-    unconditioned (p_m, p_out) of the rows of ``probes`` as (2, ...m's batch, n, 2), or None.
+    unconditioned (F_M, F_QND) of each PureState of the tuple ``probes`` as
+    (n, 2, ...m's batch), or None.
 
     The figures come from one Born table t[..., k, block, j, i] = |b_j^dag M_k b_i|^2 over
     the outputs B = [V | V X] as both outputs and inputs: one product of the flattened M_k
     with ``basis.born_products``, read through the constant matrices _SUCCESS and _FIGURES.
-    The probes are read against V only, through S_P[(o, n), (j, p)] = conj(V[o, j]) P[p, n],
-    and their sums taken as in-order slice adds.
+    The probes join that product as the columns S_P of ``_probe_read``, then R and W.
     """
-    flat = m.reshape(-1, 4)
-    t = (np.abs(flat @ basis.born_products) ** 2).reshape(-1, 8, 4)  # [..., k, block, j, i]
+    read, r, w = (basis.born_products, None, None) if probes is None else _probe_read(basis, probes)
+    x = np.abs(m.reshape(-1, 4) @ read) ** 2
+    t = x[:, :16].reshape(-1, 8, 4)  # [..., k, block, j, i]
     c = (t / (t.reshape(-1, 32) @ _SUCCESS)[:, None]).reshape(-1, 32)  # conditioned on success
     f = (c @ _FIGURES).reshape(m.shape[:-3] + (5,))
     q = f[..., :4].reshape(f.shape[:-1] + (2, 2))  # q[..., j, k]: the maximally mixed input over V
     likelihood, p_c = q[..., 0, 0] + q[..., 1, 1], f[..., 4]
     if probes is None:
         return q, likelihood, p_c, None
-    s_p = (basis.vectors.conj()[:, None, :, None] * probes.T[:, None, :]).reshape(4, -1)
-    u = (np.abs(flat @ s_p) ** 2).reshape(m.shape[:-2] + (2, len(probes)))  # [..., k, j, probe]
-    probed = np.stack((u[..., 0, :] + u[..., 1, :], u[..., 0, :, :] + u[..., 1, :, :]))
-    return q, likelihood, p_c, probed.swapaxes(-2, -1)
-
+    u = x[:, 16:].reshape(-1, r.shape[1]).T  # [(k, j, probe), ...]
+    return q, likelihood, p_c, ((w @ np.sqrt(r @ u)) ** 2).reshape((len(probes), 2) + m.shape[:-3])

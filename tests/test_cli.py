@@ -342,3 +342,35 @@ def test_counts_file_must_hold_a_json_object(capsys, tmp_path, counts):
     assert code == 2
     assert out == ""
     assert json.loads(err)["field"] == "counts_file"
+
+
+S = "0.7071067811865476"  # 1/sqrt(2)
+
+
+@pytest.mark.parametrize(
+    "argv, config, field, message",
+    [
+        (["fidelity", "--p-in", ",", "--p-m", "1,0"], None, "p_in", "malformed distribution for p_in"),
+        (["fidelity", "--p-in", "1,0"], {"p_m": 5}, "p_m", "malformed distribution for p_m"),
+        (["fidelity", "--p-m", "1,0"], None, "p_in", "p_in is required"),
+        (["fidelity", "--p-in", "1,0", "--conditionals", "1,1"], None, "p_m", "conditionals require p_m"),
+        (["fidelity", "--p-in", "1,0"], None, "p_m", "provide at least one of p_m, p_out"),
+        (["optics"], {"signal": "D"}, "signal", "signal must be H or V, got D"),
+        (["weak", "--beta", "0.6", "--gamma", "0.8"], None, "alpha", "alpha is required"),
+        (["weak", "--alpha", "0.8", "--beta", "-0.6"], None, "gamma", "beta and gamma are required"),
+        # |-> at a weak strength passes the final '+' about 0.4 % of the time: one shot is lost
+        (["weak", "--alpha", S, "--beta", "-" + S, "--gamma", "0.75", "--shots", "1", "--seed", "0"], None,
+         "shots", "empty post-selected ensemble"),
+    ],
+    ids=["malformed_flag", "malformed_config", "p_in_missing", "conditionals_without_p_m", "no_figure",
+         "signal_config", "alpha_missing", "gamma_missing", "empty_post_selection"],
+)
+def test_each_bad_input_branch_exits_2_naming_its_field(capsys, tmp_path, argv, config, field, message):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": message, "field": field}

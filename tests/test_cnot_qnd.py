@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qndsim import cnot_qnd as cq
 from qndsim import hilbert as hs
+from qndsim import metrics
 from qndsim import weakval as wv
 from qndsim.hilbert import BasisSpec, PureState
 
@@ -302,6 +303,63 @@ def test_sweep_ignores_probe_phase_and_order():
         rows, others = (cq.strength_sweep(grid, basis, probes) for probes in (ensemble, shuffled))
         np.testing.assert_allclose([[getattr(r, f) for f in cq.SWEEP_FIELDS] for r in others],
                                    [[getattr(r, f) for f in cq.SWEEP_FIELDS] for r in rows], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("basis", [np.eye(2), [[1, 0], [0, 1]], None], ids=["array", "list", "none"])
+def test_kraus_and_sweep_name_a_basis_that_is_not_a_basis_spec(basis):
+    message = f"basis must be a BasisSpec, got {type(basis).__name__}"
+    with pytest.raises(hs.HilbertError, match=message):
+        cq.kraus(cq.MeterPrep(0.9), basis)
+    for grid in ([0.9], []):
+        with pytest.raises(hs.HilbertError, match=message):
+            cq.strength_sweep(grid, basis)
+
+
+def _sweep_table(grid, basis, ensemble=None):
+    return np.array([[getattr(r, f) for f in cq.SWEEP_FIELDS] for r in cq.strength_sweep(grid, basis, ensemble)])
+
+
+def test_sweep_read_matrices_are_read_only():
+    basis = BasisSpec(random_unitary2(np.random.default_rng(37)))
+    probes = tuple(cq.pauli_ensemble())
+    assert cq._meter_stacks(basis) is cq._meter_stacks(basis)
+    assert metrics._probe_read(basis, probes) is metrics._probe_read(basis, probes)
+    for x in (cq._meter_stacks(basis), *metrics._probe_read(basis, probes)):
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0, 0] = 0.0
+
+
+def test_sweep_read_cache_keeps_each_ensemble_apart():
+    rng = np.random.default_rng(41)
+    basis = BasisSpec(random_unitary2(rng))
+    grid = rng.uniform(cq.GAMMA_MIN, 1.0, 12)
+    first = [random_qubit(rng) for _ in range(3)]
+    second = [random_qubit(rng) for _ in range(5)]
+    a, b = _sweep_table(grid, basis, first), _sweep_table(grid, basis, second)
+    assert not np.array_equal(a[:, 1:3], b[:, 1:3])  # F_M and F_QND depend on the probes
+    # reading one ensemble leaves the other's rows as they were, through more
+    # (basis, ensemble) pairs than the cache holds
+    for _ in range(metrics.READ_CACHE_SIZE + 1):
+        _sweep_table(grid, basis, [random_qubit(rng)])
+    for ensemble, want in ((second, b), (first, a), (second, b)):
+        assert _sweep_table(grid, basis, ensemble).tobytes() == want.tobytes()
+    # a sweep read with the cache cleared agrees bit for bit
+    metrics._probe_read.cache_clear()
+    cq._meter_stacks.cache_clear()
+    assert _sweep_table(grid, basis, first).tobytes() == a.tobytes()
+
+
+def test_sweep_rows_are_bit_identical_on_an_equal_basis_or_ensemble():
+    rng = np.random.default_rng(43)
+    grid = rng.uniform(cq.GAMMA_MIN, 1.0, 15)
+    for basis in (hs.Z_BASIS, hs.X_BASIS, hs.Y_BASIS, BasisSpec(random_unitary2(rng))):
+        ensemble = cq.pauli_ensemble() + [random_qubit(rng) for _ in range(3)]
+        want = _sweep_table(grid, basis, ensemble)
+        twin = BasisSpec(basis.vectors.copy())  # its read matrices not built yet
+        fresh = [PureState(s.amps.copy()) for s in ensemble]
+        for b, e in ((twin, ensemble), (basis, fresh), (twin, fresh)):
+            assert _sweep_table(grid, b, e).tobytes() == want.tobytes()
 
 
 def test_sweep_rows_are_frozen_sweep_rows():

@@ -347,6 +347,19 @@ def test_kraus_figures_names_a_basis_that_is_not_a_qubit_basis(basis):
         metrics.kraus_figures(_cnot_kraus(0.9), basis)
 
 
+def test_kraus_figures_reads_a_nested_list_as_its_array():
+    m = _cnot_kraus(0.9)
+    (joint, pair), (list_joint, list_pair) = (metrics.kraus_figures(x, BasisSpec(np.eye(2))) for x in (m, m.tolist()))
+    assert list_joint.tobytes() == joint.tobytes()
+    assert (list_pair.k, list_pair.k_bar) == (pair.k, pair.k_bar)
+
+
+@pytest.mark.parametrize("basis", [np.eye(2), [[1, 0], [0, 1]], None], ids=["array", "list", "none"])
+def test_kraus_figures_names_a_basis_that_is_not_a_basis_spec(basis):
+    with pytest.raises(MetricsError, match=f"basis must be a BasisSpec, got {type(basis).__name__}"):
+        metrics.kraus_figures(_cnot_kraus(0.9), basis)
+
+
 def _reference_probe_statistics(m, basis, probes):
     """p_in, p_m and p_out of the input states ``probes`` (rows) under the
     stacks ``m``, by explicit einsum contractions: p_m from the computational
@@ -370,23 +383,25 @@ def test_reader_probe_columns_match_einsum_reference():
     rng = np.random.default_rng(73)
     probes = rng.normal(size=(7, 2)) + 1j * rng.normal(size=(7, 2))
     probes /= np.linalg.norm(probes, axis=1, keepdims=True)
-    ensemble = [PureState(a) for a in probes]
+    ensemble = tuple(PureState(a) for a in probes)
     gammas = rng.uniform(cnot_qnd.GAMMA_MIN, 1.0, 9)
     for _ in range(4):
         basis = BasisSpec(np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0])
         p_in, p_m, p_out = _reference_probe_statistics(m, basis, probes)
-        probed = metrics._read(m, basis, probes)[3]
-        assert probed.shape == (2, 3, 4, 7, 2)
-        np.testing.assert_allclose(probed[0], p_m, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(probed[1], p_out, rtol=0, atol=1e-14)
-        # F_M and F_QND of each input conditioned on its success probability
-        success = p_m.sum(axis=-1, keepdims=True)
-        f = metrics._fidelities(p_in, probed / success)
-        np.testing.assert_allclose(f[0], _reference_fidelity(p_in, p_m / success), rtol=0, atol=1e-14)
-        np.testing.assert_allclose(f[1], _reference_fidelity(p_in, p_out / success), rtol=0, atol=1e-14)
-        # the CNOT scorer, against the reference on its per-strength stacks
+        *figures, f = metrics._read(m, basis, ensemble)
+        assert f.shape == (7, 2, 3, 4)
+        f = np.moveaxis(f, (0, 1), (-2, -1))
+        # the unconditioned F_M and F_QND of each input, heralded stacks included
+        np.testing.assert_allclose(f[..., 0], _reference_fidelity(p_in, p_m), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(f[..., 1], _reference_fidelity(p_in, p_out), rtol=0, atol=1e-14)
+        # the probe columns leave the figures read beside them as they are without probes
+        for got, want in zip(figures, metrics._read(m, basis)[:3]):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        # the CNOT sweep, against the reference on its per-strength stacks: the worst probe
         stacks = np.array([cnot_qnd.kraus(cnot_qnd.MeterPrep(g), basis) for g in gammas])
         p_in, p_m, p_out = _reference_probe_statistics(stacks, basis, probes)
-        f_m, f_qnd = cnot_qnd._score(gammas, basis, ensemble)[0]
-        np.testing.assert_allclose(f_m, _reference_fidelity(p_in, p_m), rtol=0, atol=1e-14)
-        np.testing.assert_allclose(f_qnd, _reference_fidelity(p_in, p_out), rtol=0, atol=1e-14)
+        rows = cnot_qnd.strength_sweep(gammas, basis, list(ensemble))
+        np.testing.assert_allclose([r.f_m for r in rows], _reference_fidelity(p_in, p_m).min(axis=-1),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose([r.f_qnd for r in rows], _reference_fidelity(p_in, p_out).min(axis=-1),
+                                   rtol=0, atol=1e-14)
