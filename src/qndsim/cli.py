@@ -185,7 +185,7 @@ def cmd_weak(params: dict) -> dict:
         return {"gamma_max": gamma_max}
     beta, gamma = _number(params["beta"], "beta"), _number(params["gamma"], "gamma")
     if beta is None or gamma is None:
-        raise CliError("beta and gamma are required", "gamma")
+        raise CliError("beta and gamma are required", "beta" if beta is None else "gamma")
     _checked("alpha", ValueError, PureState, [alpha, beta])
     errors = (weakval.WeakValueError, cnot_qnd.StrengthError)
     plus, minus, p_plus = _checked("gamma", errors, weakval.postselected_mean_n, alpha, beta, gamma)

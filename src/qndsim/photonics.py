@@ -8,11 +8,13 @@ measurement of the signal polarization. Loss is modeled unitarily by a
 beamsplitter into an explicit dump mode, so the full mode transformation
 stays unitary and "no photon in the dump" is a literal pattern constraint.
 
-``run_gate``, ``heralded_kraus`` and the a-scan read the gate off one cached pair map
+``run_gate`` and ``heralded_kraus`` read the gate off one cached pair map
 per (eta, loss), the 2x2 permanents of its mode unitary. The unitary is
 U_0 + sqrt(eta) U_r + sqrt(1 - eta) U_t, so each pair map is built as one
 product of the six monomials in sqrt(eta) and sqrt(1 - eta) with six terms
 computed at import, where the unitarity of every U(eta) is checked once.
+The a-scan reads a cached (3, 8) quadratic form per eta off the pair map's heralded
+rows, its stack being linear in the meter amplitudes (a, sqrt(1 - a^2)).
 The polarization qubits index H as 0 and V as 1.
 
 Sign conventions: the eta-beamsplitter follows the Heisenberg relations
@@ -85,12 +87,12 @@ def meter_prep_strength(a: float) -> PureState:
     return PureState(_strength_amps(a))
 
 
-def _strength_amps(a: float) -> np.ndarray:
+def _strength_amps(a: float) -> tuple[float, float]:
     """The amplitudes (a, sqrt(1 - a^2)) of ``meter_prep_strength``, a checked and clipped."""
     if not (0.0 <= a <= A_MAX + A_MAX_ATOL):
         raise PhotonicsError(f"strength a must lie in [0, {A_MAX:.6f}], got {a}")
     a = min(a, A_MAX)
-    return np.array([a, math.sqrt(1.0 - a * a)])
+    return a, math.sqrt(1.0 - a * a)
 
 
 # HWP at 22.5 degrees on the meter polarization pair (H, V)
@@ -163,6 +165,12 @@ def _pair_map(eta: float, loss: bool) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return maps[:-16].reshape(-1, 4), maps[-16:].reshape(2, 2, 2, 2), _GATE[loss][1]
 
 
+@functools.lru_cache(maxsize=CIRCUIT_CACHE_SIZE)
+def _strength_forms(eta: float) -> np.ndarray:
+    """The a-scan's ``metrics._strength_forms`` of the lossy gate at eta, meter |H> and |V>."""
+    return metrics._strength_forms(_pair_map(eta, True)[1], Z_BASIS)
+
+
 @dataclass(frozen=True, eq=False)
 class CoincidenceResult:
     """Post-selected outcome of one gate run.
@@ -230,14 +238,19 @@ def run_gate(
 def strength_distinguishability(a: float, eta: float = 1.0 / 3.0):
     """(K, K_bar) of the post-selected variable-strength gate.
 
-    Read by ``metrics._read`` off the heralded Kraus stack of the checked a and eta, in
-    the H/V basis, and range-checked as it leaves: K from the heralded likelihood L that
-    the meter readout matches the signal output, K_bar from diagonal/antidiagonal signals
-    read out in that basis. The balancing loss is always included. Also returns the
-    equivalent CNOT strength sqrt(L). The stack is ``heralded_kraus``'s own product,
-    taken without building the meter state.
+    K from the heralded likelihood L that the meter readout matches the signal output, K_bar
+    from diagonal/antidiagonal signals read out in the H/V basis, each input conditioned on
+    its own heralding, as ``metrics._read`` reads ``heralded_kraus`` of the checked a and eta
+    with the balancing loss: L, P_c and the heralding are quadratic forms in the meter
+    amplitudes (a, abar), kept per eta by ``_strength_forms``. The pair is range-checked as
+    it leaves. Also returns the equivalent CNOT strength sqrt(L).
     """
-    m = _pair_map(_check_eta(eta), True)[1] @ _strength_amps(a)
-    _, likelihood, p_c, _ = metrics._read(m, Z_BASIS)
+    forms = _strength_forms(_check_eta(eta))
+    a, a_bar = _strength_amps(a)
+    n = (np.array([a * a, a * a_bar, a_bar * a_bar]) @ forms).tolist()
+    try:
+        likelihood, p_c = n[0] / n[4] + n[1] / n[5], n[2] / n[6] + n[3] / n[7]
+    except ZeroDivisionError:  # a heralding probability underflows, e.g. at eta = 5e-324
+        raise PhotonicsError(f"the gate heralds an input with probability 0 at a = {a}, eta = {eta}") from None
     pair = metrics.distinguishability(likelihood, p_c)
     return pair, math.sqrt((pair.k + 1.0) / 2.0)

@@ -358,12 +358,13 @@ S = "0.7071067811865476"  # 1/sqrt(2)
         (["optics"], {"signal": "D"}, "signal", "signal must be H or V, got D"),
         (["weak", "--beta", "0.6", "--gamma", "0.8"], None, "alpha", "alpha is required"),
         (["weak", "--alpha", "0.8", "--beta", "-0.6"], None, "gamma", "beta and gamma are required"),
+        (["weak", "--alpha", "0.8", "--gamma", "0.8"], None, "beta", "beta and gamma are required"),
         # |-> at a weak strength passes the final '+' about 0.4 % of the time: one shot is lost
         (["weak", "--alpha", S, "--beta", "-" + S, "--gamma", "0.75", "--shots", "1", "--seed", "0"], None,
          "shots", "empty post-selected ensemble"),
     ],
     ids=["malformed_flag", "malformed_config", "p_in_missing", "conditionals_without_p_m", "no_figure",
-         "signal_config", "alpha_missing", "gamma_missing", "empty_post_selection"],
+         "signal_config", "alpha_missing", "gamma_missing", "beta_missing", "empty_post_selection"],
 )
 def test_each_bad_input_branch_exits_2_naming_its_field(capsys, tmp_path, argv, config, field, message):
     if config is not None:

@@ -484,20 +484,36 @@ def test_strength_endpoints_match_cnot():
 
 
 def test_strength_scan_reads_the_heralded_kraus_stack():
-    # the scan is heralded_kraus's own stack, read by the one reader, not a second path
+    # the scan's quadratic forms agree with the one reader on heralded_kraus's own stack;
+    # eta != 1/3 heralds the inputs unevenly, so each must be conditioned on its own success
     rng = np.random.default_rng(47)
-    for _ in range(200):
-        a, eta = float(rng.uniform(0.0, ph.A_MAX)), float(rng.uniform(0.01, 0.99))
+    cases = [(float(rng.uniform(0.0, ph.A_MAX)), float(rng.uniform(0.01, 0.99))) for _ in range(200)]
+    assert all(eta != ETA for _, eta in cases)
+    cases += [(a, eta) for a in (0.0, ph.A_MAX) for eta in (0.01, ETA, 0.99)]
+    for a, eta in cases:
         m = heralded_kraus(meter_prep_strength(a), eta, include_signal_loss=True)
         _, likelihood, p_c, _ = metrics._read(m, hs.Z_BASIS)
-        want_k, want_k_bar = 2 * likelihood - 1, 2 * p_c - 1
         pair, gamma_eff = ph.strength_distinguishability(a, eta)
-        assert (pair.k, pair.k_bar) == (want_k, want_k_bar)
-        assert gamma_eff == math.sqrt((want_k + 1.0) / 2.0)
+        assert abs(pair.k - (2 * likelihood - 1)) <= 2e-15
+        assert abs(pair.k_bar - (2 * p_c - 1)) <= 2e-15
+        assert abs(gamma_eff - math.sqrt(likelihood)) <= 2e-15
+
+
+def test_strength_forms_are_cached_read_only_per_eta():
+    for eta in (ETA, 0.2):
+        forms = ph._strength_forms(eta)
+        assert forms.shape == (3, 8) and not forms.flags.writeable
+        with pytest.raises(ValueError):
+            forms[0, 0] = 1.0
+        assert ph._strength_forms(eta) is forms
+        ph._strength_forms.cache_clear()
+        rebuilt = ph._strength_forms(eta)
+        assert rebuilt is not forms and rebuilt.tobytes() == forms.tobytes()
 
 
 @pytest.mark.parametrize("a, eta", [(-1e-300, ETA), (ph.A_MAX + 2 * ph.A_MAX_ATOL, ETA), (1.0, ETA), (math.nan, ETA),
-                                    (0.5, 0.0), (0.5, 1.0), (0.5, math.nan)])
+                                    (0.5, 0.0), (0.5, 1.0), (0.5, math.nan),
+                                    (0.0, 5e-324)])  # the |V> meter's heralding underflows to 0
 def test_strength_scan_rejects_a_bad_strength_or_eta(a, eta):
     with pytest.raises(PhotonicsError):
         ph.strength_distinguishability(a, eta)

@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
         ("strength_sweep.py", ["--points", "5", "--out", "sweep.csv"], "wrote 5 rows to sweep.csv"),
         ("optics_demo.py", [], "variable-strength scan"),
         ("weak_value_scan.py", ["--shots", "10000"], "Monte-Carlo check at gamma = 0.8:"),
+        ("optics_demo.py", ["--eta", "0.2"], "variable-strength scan"),
     ],
 )
 def test_script_runs(tmp_path, script, args, expected):
