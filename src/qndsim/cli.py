@@ -170,7 +170,7 @@ def cmd_optics(params: dict) -> dict:
     results = result.to_json()
     # post-selected signal/meter correlation, averaged over eigenstate inputs: C^2 = K^2,
     # since the H/V polarization observables have eigenvalues +-1
-    _, pair = metrics.kraus_figures(kraus, Z_BASIS)
+    _, pair = _checked("eta", metrics.MetricsError, metrics.kraus_figures, kraus, Z_BASIS)
     results["c2"] = pair.k**2
     return results
 

@@ -1,27 +1,34 @@
-"""Two-photon simulation of the non-deterministic optical QND gate.
+"""Two-photon model of the non-deterministic optical QND gate.
 
-A signal photon and a meter photon, each a polarization qubit, are split
-into spatial rails (s_H, s_V, m_H, m_V); the horizontal rails interfere
-non-classically on a beamsplitter of reflectivity eta. Detecting exactly
-one photon at the meter output (and none at any dump port) heralds a QND
-measurement of the signal polarization. Loss is modeled unitarily by a
-beamsplitter into an explicit dump mode, so the full mode transformation
-stays unitary and "no photon in the dump" is a literal pattern constraint.
+A signal and a meter photon, each a polarization qubit (H = 0, V = 1), are
+split into rails s_H, s_V, m_H, m_V. The H rails meet on a beamsplitter of
+reflectivity eta: s_Ho = r s_H + t m_H, m_Ho = t s_H - r m_H, r = sqrt(eta),
+t = sqrt(1 - eta). An optional balancing loss passes s_V with amplitude
+l = 1/sqrt(3) and sends the rest to a dump port (l = 1 without it). One
+photon among the signal outputs, one among the meter outputs and none in the
+dump herald a QND measurement of the signal polarization; the output
+half-wave plate at 22.5 degrees (the Hadamard on the meter polarization)
+maps the heralded meter onto the signal's polarization.
 
-``run_gate`` and ``heralded_kraus`` read the gate off one cached pair map
-per (eta, loss), the 2x2 permanents of its mode unitary. The unitary is
-U_0 + sqrt(eta) U_r + sqrt(1 - eta) U_t, so each pair map is built as one
-product of the six monomials in sqrt(eta) and sqrt(1 - eta) with six terms
-computed at import, where the unitarity of every U(eta) is checked once.
-The a-scan reads a cached (3, 8) quadratic form per eta off the pair map's heralded
-rows, its stack being linear in the meter amplitudes (a, sqrt(1 - a^2)).
-The polarization qubits index H as 0 and V as 1.
+Heralded, the gate keeps both polarizations and, before the HWP, scales
+each input product s_i m_j by D = [[1 - 2 eta, r], [-r l, l]]. D[H][H] =
+t^2 - r^2 is the Hong-Ou-Mandel amplitude of the two H photons: both
+transmitted (they swap arms, t^2) or both reflected (each stays in its arm,
+-r^2, the pi phase on the meter's reflection). H with V is heralded when the
+signal reflects (r), V with H when the meter reflects and the signal passes
+the loss (-r l). The HOM pair bunches into either arm with probability
+2 eta (1 - eta), so the failures are linear in the populations |s_i m_j|^2:
 
-Sign conventions: the eta-beamsplitter follows the Heisenberg relations
-s_Ho = sqrt(eta) s_H + sqrt(1-eta) m_H, m_Ho = sqrt(1-eta) s_H -
-sqrt(eta) m_H; the output half-wave plate at 22.5 degrees acts on the
-meter polarization as the Hadamard rotation, which with these relations
-maps the heralded meter onto the same polarization as the signal.
+    both_in_signal = 2 eta (1 - eta) |s_H m_H|^2 + l^2 (1 - eta) |s_V m_H|^2
+    both_in_meter  = 2 eta (1 - eta) |s_H m_H|^2 + (1 - eta) |s_H m_V|^2
+    dump           = (1 - l^2) |s_V|^2,
+
+and success is sum_ij D[i][j]^2 |s_i m_j|^2; the four sum to 1. ``run_gate``
+and ``heralded_kraus`` read the gate off D in scalar arithmetic; the mode
+unitary, its permanents and the Fock expansion check it in
+``tests/oracles.py``. The a-scan reads a cached (3, 8) quadratic form per
+eta off the stacks at the meters |H> and |V>, the stack being linear in the
+meter amplitudes (a, sqrt(1 - a^2)).
 """
 
 from __future__ import annotations
@@ -37,22 +44,13 @@ from .hilbert import ZERO_BRANCH, Z_BASIS, PureState
 
 A_MAX = math.sqrt(3.0) / 2.0
 A_MAX_ATOL = 1e-12  # strength a accepted up to A_MAX + A_MAX_ATOL, then clipped to A_MAX
-UNITARY_ATOL = 1e-12  # largest entry of |U^dag U - 1| accepted as unitary
-CIRCUIT_CACHE_SIZE = 8  # pair maps kept, one per (eta, include_signal_loss)
-_SIG, _MET = slice(0, 2), slice(2, 4)  # the gate's signal and meter modes
+FORMS_CACHE_SIZE = 8  # a-scan forms kept, one per eta
+_HWP = 1.0 / math.sqrt(2.0)  # the output HWP on the meter's (H, V) is [[h, h], [h, -h]]
 _NOT_QUBITS = "signal and meter must be single-photon polarization qubits"
 
 
 class PhotonicsError(ValueError):
     """Invalid circuit parameter or photon configuration."""
-
-
-def bs_matrix(eta: float) -> np.ndarray:
-    """Beamsplitter of reflectivity eta with the pi phase on one reflection."""
-    if not (0.0 <= eta <= 1.0):
-        raise PhotonicsError(f"eta must lie in [0, 1], got {eta}")
-    r, t = math.sqrt(eta), math.sqrt(1.0 - eta)
-    return np.array([[r, t], [t, -r]])
 
 
 def hom_reduction(eta: float) -> float:
@@ -95,80 +93,40 @@ def _strength_amps(a: float) -> tuple[float, float]:
     return a, math.sqrt(1.0 - a * a)
 
 
-# HWP at 22.5 degrees on the meter polarization pair (H, V)
-HWP = np.array([[1, 1], [1, -1]]) / math.sqrt(2.0)
-
-
 def _check_eta(eta) -> float:
     if not (0.0 < eta < 1.0):
         raise PhotonicsError(f"eta must lie in (0, 1), got {eta}")
     return float(eta)
 
 
-def _check_unitary(u: np.ndarray) -> None:
-    if not (np.abs(u.conj().T @ u - np.eye(len(u))) <= UNITARY_ATOL).all():  # NaN fails too
-        raise PhotonicsError("mode matrix is not unitary")
+def _herald_table(eta: float, loss: bool) -> tuple[tuple, float]:
+    """(D, l^2) of the gate at eta, with or without the balancing loss: heralding scales
+    the input product s_i m_j by D[i][j] before the HWP (see the module docstring)."""
+    r, ell2 = math.sqrt(eta), 1.0 / 3.0 if loss else 1.0
+    ell = math.sqrt(ell2)
+    return ((1.0 - 2.0 * eta, r), (-r * ell, ell)), ell2
 
 
-def _gate_constants(loss: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The parts (U_0, U_r, U_t) of the gate's U(eta) = U_0 + sqrt(eta) U_r + sqrt(1 - eta) U_t
-    on the modes s_H 0, s_V 1, m_H 2, m_V 3 (dump_s 4), and the (4, n^2) weights that sum
-    |Phi[y, z]|^2 into success, both_in_signal, both_in_meter and dump; each pattern appears
-    as (y, z) and (z, y)."""
-    n = 4 + loss
-    parts = np.zeros((3, n, n), complex)
-    parts[0] = np.diag([0.0, 1.0, 0.0, 1.0, 1.0][:n])
-    if loss:
-        parts[0, 1:5:3, 1:5:3] = bs_matrix(1.0 / 3.0)
-    parts[1, 0, 0] = parts[2, 0, 2] = parts[2, 2, 0] = 1.0  # the eta-BS rows (r, t) of s_H
-    parts[1, 2, 2] = -1.0  # and (t, -r) of m_H, which the HWP then splits
-    parts[:, _MET] = HWP @ parts[:, _MET]
-    c = [0, 0, 1, 1, 3][:n]  # mode class: signal 0, meter 1, dump 3
-    pair = [cy + cz for cy in c for cz in c]  # 1 success, 0 and 2 both in one arm, >= 3 dump
-    return parts, 0.5 * np.array([[p == 1, p == 0, p == 2, p >= 3] for p in pair], dtype=float).T
+def _branches(d: tuple, m_h: complex, m_v: complex) -> tuple:
+    """(G[H][H], G[H][V], G[V][H], G[V][V]), G[i][k] = sum_j HWP[k, j] D[i][j] m_j: the heralded
+    amplitude, per unit signal amplitude, that signal polarization i keeps with the meter read as k."""
+    (d_hh, d_hv), (d_vh, d_vv) = d
+    x, y, u, v = d_hh * m_h, d_hv * m_v, d_vh * m_h, d_vv * m_v
+    return _HWP * (x + y), _HWP * (x - y), _HWP * (u + v), _HWP * (u - v)
 
 
-def _mode_unitary(eta: float, parts: np.ndarray) -> np.ndarray:
-    return parts[0] + math.sqrt(eta) * parts[1] + math.sqrt(1.0 - eta) * parts[2]
+def _kraus(d: tuple, m_h: complex, m_v: complex) -> np.ndarray:
+    """The diagonal stack M_k = diag_i(G[i][k]) at meter amplitudes (m_h, m_v), shape (2, 2, 2)."""
+    g_hh, g_hv, g_vh, g_vv = _branches(d, m_h, m_v)
+    return np.array((g_hh, 0.0, 0.0, g_vh, g_hv, 0.0, 0.0, g_vv), complex).reshape(2, 2, 2)
 
 
-def _pair_terms(parts: np.ndarray) -> np.ndarray:
-    """The (6, 4 n^2 + 16) terms T_m of ``_pair_map``'s A and heralded rows, flattened side
-    by side: both are sum_m c_m T_m over c = (1, r, t, r^2, r t, t^2), r = sqrt(eta) and
-    t = sqrt(1 - eta), being bilinear in U = U_0 + r U_r + t U_t. PhotonicsError unless
-    U(eta) is unitary at five eta: in theta = arccos r, each entry of U^dag U - 1 is a
-    trigonometric polynomial of degree <= 2, a space of dimension 5, so one that vanishes
-    at five distinct theta vanishes at every eta."""
-    for eta in (0.1, 0.3, 0.5, 0.7, 0.9):
-        _check_unitary(_mode_unitary(eta, parts))
-    t = parts[:, None, :, None, _SIG, None] * parts[None, :, None, :, None, _MET]
-    t = t + t.transpose(0, 1, 3, 2, 4, 5)  # [a, b, y, z, i, j] = P_a[y, i] P_b[z, 2+j] + (y <-> z)
-    a, b = np.triu_indices(3)  # the monomials 1, r, t, r^2, r t, t^2 as part pairs
-    t = (t + t.swapaxes(0, 1))[a, b] * np.where(a == b, 0.5, 1.0)[:, None, None, None, None]
-    herald = t[:, _SIG, _MET].transpose(0, 2, 1, 3, 4)
-    return np.concatenate((t.reshape(6, -1), herald.reshape(6, -1)), axis=1)
-
-
-_GATE = {loss: _gate_constants(loss) for loss in (False, True)}
-_TERMS = {loss: _pair_terms(_GATE[loss][0]) for loss in (False, True)}
-
-
-@functools.lru_cache(maxsize=CIRCUIT_CACHE_SIZE)
-def _pair_map(eta: float, loss: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A, its heralded rows as [meter k, signal i', signal i, meter j], class
-    weights) of one gate. A[y n + z, 2 i + j] = U[y, i] U[z, 2 + j] + U[z, i] U[y, 2 + j]
-    sends the input amplitudes s_i m_j to Phi[y, z], the amplitude of one photon in each
-    of the modes y != z, sqrt(2) times that of two in y = z."""
-    r, t = math.sqrt(eta), math.sqrt(1.0 - eta)
-    maps = np.array([1.0, r, t, r * r, r * t, t * t]) @ _TERMS[loss]
-    maps.setflags(write=False)
-    return maps[:-16].reshape(-1, 4), maps[-16:].reshape(2, 2, 2, 2), _GATE[loss][1]
-
-
-@functools.lru_cache(maxsize=CIRCUIT_CACHE_SIZE)
+@functools.lru_cache(maxsize=FORMS_CACHE_SIZE)
 def _strength_forms(eta: float) -> np.ndarray:
     """The a-scan's ``metrics._strength_forms`` of the lossy gate at eta, meter |H> and |V>."""
-    return metrics._strength_forms(_pair_map(eta, True)[1], Z_BASIS)
+    d, _ = _herald_table(eta, True)
+    h = np.array((_kraus(d, 1.0, 0.0), _kraus(d, 0.0, 1.0))).transpose(1, 2, 3, 0)  # h[..., j] at meter e_j
+    return metrics._strength_forms(h, Z_BASIS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,14 +158,14 @@ def heralded_kraus(
     """Kraus operators of the heralded gate on the signal, shape (2, 2, 2).
 
     ``heralded_kraus(...)[k][i', i]`` is the amplitude that signal
-    polarization i leaves as i' with the meter read as k after the HWP,
-    sum_j meter_j perm U[(s_i', m_k), (s_i, m_j)]. The stack is trace-
+    polarization i leaves as i' with the meter read as k after the HWP:
+    sum_j HWP[k, j] D[i][j] meter_j if i' = i, else 0. The stack is trace-
     decreasing: sum_k |M_k psi|^2 is the heralding probability.
     """
-    _, herald, _ = _pair_map(_check_eta(eta), bool(include_signal_loss))
+    d, _ = _herald_table(_check_eta(eta), bool(include_signal_loss))
     if meter.dim != 2:
         raise PhotonicsError(_NOT_QUBITS)
-    return herald @ meter.amps
+    return _kraus(d, *meter.amps.tolist())
 
 
 def run_gate(
@@ -216,21 +174,34 @@ def run_gate(
     eta: float = 1.0 / 3.0,
     include_signal_loss: bool = False,
 ) -> CoincidenceResult:
-    """Simulate the full gate and apply coincidence post-selection.
+    """Run the gate and apply coincidence post-selection.
 
     Success: exactly one photon among the signal outputs, exactly one
-    among the meter outputs, and none in any dump mode.
+    among the meter outputs, and none in any dump mode. The heralded joint
+    is J[i', k] = s_i' G[i'][k] / sqrt(success); success and the failure
+    classes are read off the populations.
     """
-    loss = bool(include_signal_loss)
-    a, _, weights = _pair_map(_check_eta(eta), loss)
+    eta = _check_eta(eta)
+    d, ell2 = _herald_table(eta, bool(include_signal_loss))
     if signal_pol.dim != 2 or meter_pol.dim != 2:
         raise PhotonicsError(_NOT_QUBITS)
-    phi = a @ (signal_pol.amps[:, None] * meter_pol.amps).ravel()
-    success, both_in_signal, both_in_meter, dump = (weights @ np.abs(phi) ** 2).tolist()
-    failures = {"both_in_signal": both_in_signal, "both_in_meter": both_in_meter, "dump": dump}
+    s_h, s_v = signal_pol.amps.tolist()
+    m_h, m_v = meter_pol.amps.tolist()
+    p_h, p_v, q_h, q_v = abs(s_h) ** 2, abs(s_v) ** 2, abs(m_h) ** 2, abs(m_v) ** 2
+    (d_hh, d_hv), (d_vh, d_vv) = d
+    success = (d_hh**2 * q_h + d_hv**2 * q_v) * p_h + (d_vh**2 * q_h + d_vv**2 * q_v) * p_v
+    bunched = 2.0 * eta * (1.0 - eta) * p_h * q_h  # the HOM pair, in either arm
+    failures = {
+        "both_in_signal": bunched + ell2 * (1.0 - eta) * p_v * q_h,
+        "both_in_meter": bunched + (1.0 - eta) * p_h * q_v,
+        "dump": (1.0 - ell2) * p_v,
+    }
     conditional = None
     if success > ZERO_BRANCH:
-        conditional = phi.reshape(4 + loss, -1)[_SIG, _MET] / math.sqrt(success)
+        root = math.sqrt(success)
+        g_hh, g_hv, g_vh, g_vv = _branches(d, m_h, m_v)
+        conditional = np.array((s_h * g_hh / root, s_h * g_hv / root, s_v * g_vh / root, s_v * g_vv / root),
+                               complex).reshape(2, 2)
         conditional.setflags(write=False)
     return CoincidenceResult(success, conditional, failures)
 

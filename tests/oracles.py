@@ -4,15 +4,18 @@
 outcome statistics and post-measurement branches off its Kraus stack
 (``cnot_qnd.kraus``), in plain numpy.
 
-The library reads the heralded optical gate off the 2x2 permanents of its
-mode unitary (``photonics._pair_map``), summed from terms computed at
-import. ``pair_map`` builds the same permanents straight from the mode
-unitary at one eta. The rest of this module expands the same gate the long
-way: two photons as a map from mode occupation pattern to amplitude, pushed
-through the mode unitary monomial by monomial. The tests compare the
-library's gate against both, and the expansion against an explicit
-permanent sum. ``analytic_success`` is the gate's closed-form heralding
-probability at eta = 1/3.
+The library reads the heralded optical gate off its 2x2 heralding table
+(``photonics._herald_table``) and no longer reads the permanents. The mode
+unitary of the whole circuit lives here: ``mode_unitary`` builds it from
+three parts, U(eta) = U_0 + sqrt(eta) U_r + sqrt(1 - eta) U_t, and checks
+that it is unitary; ``pair_map`` takes its 2x2 permanents, the amplitude of
+every output pair for each input product s_i m_j, and ``class_weights``
+sums their |amplitude|^2 into the success and failure classes. The rest of
+this module expands the same gate the long way: two photons as a map from
+mode occupation pattern to amplitude, pushed through the mode unitary
+monomial by monomial. The tests compare the library's gate against both,
+and the expansion against an explicit permanent sum. ``analytic_success``
+is the gate's closed-form heralding probability at eta = 1/3.
 
 ``correlation_c2`` is the paper's signal-meter correlation C^2 of two
 observables with any real eigenvalues. The library reads C^2 as K^2, an
@@ -32,11 +35,13 @@ from qndsim import cnot_qnd as cq
 from qndsim import hilbert as hs
 from qndsim.hilbert import NORM_ATOL, PureState
 from qndsim.metrics import MetricsError
-from qndsim.photonics import (_GATE, _MET, _SIG, PhotonicsError, _check_eta, _check_unitary,
-                              _mode_unitary)
+from qndsim.photonics import PhotonicsError, _check_eta
 
 PHASE_ATOL = 1e-10  # states whose |overlap| lies within this of 1 are equal up to phase
 DEGENERATE_MOMENT = 1e-24  # <O_A^2><O_B^2> below this: an observable is zero, C^2 undefined
+UNITARY_ATOL = 1e-12  # largest entry of |U^dag U - 1| accepted as unitary
+SIG, MET = slice(0, 2), slice(2, 4)  # the gate's signal and meter modes
+HWP = np.array([[1, 1], [1, -1]]) / math.sqrt(2.0)  # at 22.5 degrees, on the meter's (H, V)
 
 
 def correlation_c2(q, eigvals_a, eigvals_b):
@@ -59,18 +64,60 @@ def correlation_c2(q, eigvals_a, eigvals_b):
     return corr**2 / denom
 
 
-def mode_unitary(eta, loss):
-    """The gate's mode unitary at reflectivity ``eta``, with or without the balancing loss."""
-    return _mode_unitary(eta, _GATE[loss][0])
+def bs_matrix(eta: float) -> np.ndarray:
+    """Beamsplitter of reflectivity eta with the pi phase on one reflection."""
+    if not (0.0 <= eta <= 1.0):
+        raise PhotonicsError(f"eta must lie in [0, 1], got {eta}")
+    r, t = math.sqrt(eta), math.sqrt(1.0 - eta)
+    return np.array([[r, t], [t, -r]])
+
+
+def check_unitary(u: np.ndarray) -> None:
+    if not (np.abs(u.conj().T @ u - np.eye(len(u))) <= UNITARY_ATOL).all():  # NaN fails too
+        raise PhotonicsError("mode matrix is not unitary")
+
+
+def gate_parts(loss):
+    """The parts (U_0, U_r, U_t) of the gate's U(eta) = U_0 + sqrt(eta) U_r + sqrt(1 - eta) U_t
+    on the modes s_H 0, s_V 1, m_H 2, m_V 3 (dump_s 4)."""
+    n = 4 + loss
+    parts = np.zeros((3, n, n), complex)
+    parts[0] = np.diag([0.0, 1.0, 0.0, 1.0, 1.0][:n])
+    if loss:
+        parts[0, 1:5:3, 1:5:3] = bs_matrix(1.0 / 3.0)
+    parts[1, 0, 0] = parts[2, 0, 2] = parts[2, 2, 0] = 1.0  # the eta-BS rows (r, t) of s_H
+    parts[1, 2, 2] = -1.0  # and (t, -r) of m_H, which the HWP then splits
+    parts[:, MET] = HWP @ parts[:, MET]
+    return parts
+
+
+def class_weights(loss):
+    """The (4, n^2) weights that sum |Phi[y, z]|^2 of ``pair_map``'s output pairs into
+    success, both_in_signal, both_in_meter and dump; each pattern appears as (y, z) and (z, y)."""
+    c = [0, 0, 1, 1, 3][:4 + loss]  # mode class: signal 0, meter 1, dump 3
+    pair = [cy + cz for cy in c for cz in c]  # 1 success, 0 and 2 both in one arm, >= 3 dump
+    return 0.5 * np.array([[p == 1, p == 0, p == 2, p >= 3] for p in pair], dtype=float).T
+
+
+def mode_unitary(eta, loss, parts=None):
+    """The gate's mode unitary at reflectivity ``eta``, with or without the balancing loss,
+    from ``gate_parts(loss)`` or the given ``parts``; PhotonicsError unless it is unitary."""
+    parts = gate_parts(loss) if parts is None else parts
+    u = parts[0] + math.sqrt(eta) * parts[1] + math.sqrt(1.0 - eta) * parts[2]
+    check_unitary(u)
+    return u
 
 
 def pair_map(eta, loss):
-    """(A, heralded rows) of ``photonics._pair_map`` from U(eta) directly:
-    t[y, z, i, j] = U[y, i] U[z, 2 + j] + U[z, i] U[y, 2 + j]."""
+    """(A, heralded rows) of the gate at ``eta``, the 2x2 permanents of U(eta):
+    A[y n + z, 2 i + j] = t[y, z, i, j] = U[y, i] U[z, 2 + j] + U[z, i] U[y, 2 + j] sends
+    the input amplitudes s_i m_j to Phi[y, z], the amplitude of one photon in each of
+    the modes y != z, sqrt(2) times that of two in y = z; the heralded rows are
+    t[s_i', m_k, i, j] as [meter k, signal i', signal i, meter j]."""
     u = mode_unitary(eta, loss)
-    t = u[:, None, _SIG, None] * u[None, :, None, _MET]
+    t = u[:, None, SIG, None] * u[None, :, None, MET]
     t = t + t.transpose(1, 0, 2, 3)
-    return t.reshape(-1, 4), t[_SIG, _MET].transpose(1, 0, 2, 3)
+    return t.reshape(-1, 4), t[SIG, MET].transpose(1, 0, 2, 3)
 
 
 def analytic_success(alpha: complex, beta: complex, include_signal_loss: bool = False) -> float:
@@ -155,7 +202,7 @@ class LinearCircuit:
         m = self.layout.n_modes
         if u.shape != (m, m):
             raise PhotonicsError(f"mode matrix shape {u.shape}, expected ({m},{m})")
-        _check_unitary(u)
+        check_unitary(u)
         u.setflags(write=False)
         object.__setattr__(self, "u", u)
 

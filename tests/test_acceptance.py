@@ -20,7 +20,7 @@ from qndsim import photonics as ph
 from qndsim import weakval as wv
 from qndsim.hilbert import PureState
 
-from oracles import FockState, LinearCircuit, ModeLayout, lift_two_photon
+from oracles import FockState, LinearCircuit, ModeLayout, bs_matrix, lift_two_photon
 
 S = 1 / math.sqrt(2)
 ETA = 1.0 / 3.0
@@ -99,7 +99,7 @@ def test_05_optics_success_probabilities():
 
 def test_06_hom_interference():
     with criterion(6, "two-photon interference null and reduction"):
-        circuit = LinearCircuit(ModeLayout(("a", "b")), ph.bs_matrix(0.5))
+        circuit = LinearCircuit(ModeLayout(("a", "b")), bs_matrix(0.5))
         out = lift_two_photon(circuit, FockState(2, {(1, 1): 1.0}))
         assert abs(out.amplitude((1, 1))) < 1e-12
         for eta in np.linspace(0.0, 1.0, 20):

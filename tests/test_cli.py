@@ -356,6 +356,9 @@ S = "0.7071067811865476"  # 1/sqrt(2)
         (["fidelity", "--p-in", "1,0", "--conditionals", "1,1"], None, "p_m", "conditionals require p_m"),
         (["fidelity", "--p-in", "1,0"], None, "p_m", "provide at least one of p_m, p_out"),
         (["optics"], {"signal": "D"}, "signal", "signal must be H or V, got D"),
+        # the H signal, heralded with probability eta, underflows to probability 0
+        (["optics", "--eta", "5e-324", "--strength-a", "0"], None, "eta",
+         "Kraus stack heralds a basis or conjugate input with probability 0"),
         (["weak", "--beta", "0.6", "--gamma", "0.8"], None, "alpha", "alpha is required"),
         (["weak", "--alpha", "0.8", "--beta", "-0.6"], None, "gamma", "beta and gamma are required"),
         (["weak", "--alpha", "0.8", "--gamma", "0.8"], None, "beta", "beta and gamma are required"),
@@ -364,7 +367,8 @@ S = "0.7071067811865476"  # 1/sqrt(2)
          "shots", "empty post-selected ensemble"),
     ],
     ids=["malformed_flag", "malformed_config", "p_in_missing", "conditionals_without_p_m", "no_figure",
-         "signal_config", "alpha_missing", "gamma_missing", "beta_missing", "empty_post_selection"],
+         "signal_config", "eta_heralds_nothing", "alpha_missing", "gamma_missing", "beta_missing",
+         "empty_post_selection"],
 )
 def test_each_bad_input_branch_exits_2_naming_its_field(capsys, tmp_path, argv, config, field, message):
     if config is not None:

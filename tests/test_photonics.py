@@ -13,7 +13,6 @@ from qndsim import photonics as ph
 from qndsim.hilbert import PureState
 from qndsim.photonics import (
     PhotonicsError,
-    bs_matrix,
     heralded_kraus,
     hom_reduction,
     meter_prep,
@@ -21,8 +20,8 @@ from qndsim.photonics import (
     run_gate,
 )
 
-from oracles import (FockState, LinearCircuit, ModeLayout, analytic_success, build_qnd_circuit, lift_two_photon,
-                     pair_map, two_photon_input)
+from oracles import (MET, SIG, FockState, LinearCircuit, ModeLayout, analytic_success, bs_matrix, build_qnd_circuit,
+                     class_weights, gate_parts, lift_two_photon, mode_unitary, pair_map, two_photon_input)
 
 ETA = 1.0 / 3.0
 H = PureState([1, 0])
@@ -203,46 +202,54 @@ def test_heralded_joint_is_a_read_only_complex_matrix():
         joint[0, 0] = 0.0
 
 
-def test_gate_cache_eviction_changes_no_value():
+def test_strength_forms_cache_eviction_changes_no_value():
     # more distinct eta than the cache holds, revisited after their entries are evicted
-    sig, rng = PureState.from_amplitudes([0.6, 0.8j]), np.random.default_rng(5)
-    etas = rng.uniform(0.05, 0.95, ph.CIRCUIT_CACHE_SIZE + 5).tolist()
+    rng = np.random.default_rng(5)
+    etas = rng.uniform(0.05, 0.95, ph.FORMS_CACHE_SIZE + 5).tolist()
     order = etas + etas[::-1] + etas[::3] + etas
-    ph._pair_map.cache_clear()
+    ph._strength_forms.cache_clear()
     first = {}
-    for step, eta in enumerate(order):
-        loss = etas.index(eta) % 2 == 1
-        meter = meter_prep(eta)
-        if step % 2:  # each of the two calls meets the cache first on every other step
-            kraus, res = heralded_kraus(meter, eta, loss), run_gate(sig, meter, eta, loss)
-        else:
-            res, kraus = run_gate(sig, meter, eta, loss), heralded_kraus(meter, eta, loss)
-        got = (res.success_prob, res.failure_breakdown, res.conditional_joint.tolist())
-        got += (kraus.tolist(),)
-        assert first.setdefault((eta, loss), got) == got
-        kraus[...] = 7.0  # the caller's copy only
-    info = ph._pair_map.cache_info()
-    assert info.currsize == ph.CIRCUIT_CACHE_SIZE and info.hits >= len(order)
-    assert info.misses > len(etas)  # some gates were evicted and built again
+    for eta in order:
+        a = float(etas.index(eta) % 3) * ph.A_MAX / 2
+        pair, gamma_eff = ph.strength_distinguishability(a, eta)
+        got = (ph._strength_forms(eta).tobytes(), pair.k, pair.k_bar, gamma_eff)
+        assert first.setdefault(eta, got) == got
+    info = ph._strength_forms.cache_info()
+    assert info.currsize == ph.FORMS_CACHE_SIZE and info.hits >= len(order)
+    assert info.misses > len(etas)  # some forms were evicted and built again
 
 
-def test_pair_map_matches_the_permanents_of_the_mode_unitary():
-    etas = np.random.default_rng(53).uniform(0.0, 1.0, 1000).tolist() + [1 / 3, 1e-9, 1 - 1e-9]
+def random_qubit(rng):
+    return PureState.from_amplitudes(rng.normal(size=2) + 1j * rng.normal(size=2))
+
+
+def test_table_gate_matches_the_permanents_of_the_mode_unitary():
+    rng = np.random.default_rng(53)
+    etas = rng.uniform(0.0, 1.0, 1000).tolist() + [1 / 3, 1e-9, 1 - 1e-9]
     for loss in (False, True):
+        weights = class_weights(loss)
         for eta in etas:
-            a, herald, _ = ph._pair_map(eta, loss)
-            want_a, want_herald = pair_map(eta, loss)
-            assert np.abs(a - want_a).max() <= 1e-15 and np.abs(herald - want_herald).max() <= 1e-15
+            sig, meter = random_qubit(rng), random_qubit(rng)
+            a, herald = pair_map(eta, loss)
+            phi = a @ np.outer(sig.amps, meter.amps).ravel()
+            res = run_gate(sig, meter, eta, loss)
+            joint = res.conditional_joint * math.sqrt(res.success_prob)
+            assert np.abs(joint - phi.reshape(4 + loss, -1)[SIG, MET]).max() <= 1e-15
+            assert np.abs(heralded_kraus(meter, eta, loss) - herald @ meter.amps).max() <= 1e-15
+            got = [res.success_prob, *res.failure_breakdown.values()]
+            assert np.abs(np.array(got) - weights @ np.abs(phi) ** 2).max() <= 2e-15
 
 
 @pytest.mark.parametrize("loss", [False, True])
 @pytest.mark.parametrize("part, entry", [(1, (0, 0)), (1, (2, 2)), (2, (3, 0)), (0, (1, 1))])
-def test_gate_terms_reject_a_corrupted_part(loss, part, entry):
-    ph._pair_terms(ph._GATE[loss][0])  # the parts as built pass
-    parts = ph._GATE[loss][0].copy()
+def test_mode_unitary_rejects_a_corrupted_part(loss, part, entry):
+    parts = gate_parts(loss)
+    for eta in (0.1, 0.5, 0.9):
+        mode_unitary(eta, loss, parts)  # the parts as built pass
     parts[(part,) + entry] *= -1.0 if part else 0.5
-    with pytest.raises(PhotonicsError, match="not unitary"):
-        ph._pair_terms(parts)
+    for eta in (0.1, 0.5, 0.9):
+        with pytest.raises(PhotonicsError, match="not unitary"):
+            mode_unitary(eta, loss, parts)
 
 
 def test_circuit_json():
@@ -355,15 +362,16 @@ def test_run_gate_keeps_a_rare_but_possible_herald():
 
 
 def test_run_gate_probability_completeness():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        a = rng.normal(size=2)
-        a /= np.linalg.norm(a)
-        sig = PureState(a)
-        for loss in (False, True):
-            res = run_gate(sig, meter_prep(ETA), include_signal_loss=loss)
-            total = res.success_prob + sum(res.failure_breakdown.values())
-            assert total == pytest.approx(1.0, abs=1e-10)
+    # success and the three failure classes partition the two-photon outcomes
+    rng = np.random.default_rng(59)
+    for _ in range(1000):
+        sig, eta = random_qubit(rng), float(rng.uniform(0.0, 1.0))
+        for meter in (random_qubit(rng), meter_prep(eta)):
+            for loss in (False, True):
+                res = run_gate(sig, meter, eta, loss)
+                classes = [res.success_prob, *res.failure_breakdown.values()]
+                assert all(0.0 <= p <= 1.0 for p in classes)
+                assert abs(sum(classes) - 1.0) <= 1e-15
 
 
 def test_run_gate_matches_analytic_success():
