@@ -13,7 +13,9 @@ given (for ``fidelity``, with those read from its counts file), so
 ``qndsim <cmd> --config <saved config>`` reproduces its ``results``:
 ``cnot-sweep`` echoes ``gamma_points`` or ``gamma``, not the grid, and
 ``optics`` its given ``signal``, amplitudes and switches, not the signal
-and meter states. Errors go to stderr as {"error": ..., "field": ...}:
+and meter states. A parameter given is type-checked, and a number must be
+finite, even where the mode ignores it; only those it reads are range-checked.
+Errors go to stderr as {"error": ..., "field": ...}:
 exit code 2 for bad input, naming the offending field, 1 for an internal fault.
 """
 from __future__ import annotations
@@ -129,9 +131,10 @@ def cmd_fidelity(params: dict) -> dict:
 
 
 def _gamma_grid(params: dict) -> list[float]:
-    if params["gamma"] is not None:
-        return [_number(params["gamma"], "gamma")]
+    gamma = _number(params["gamma"], "gamma")
     n = _number(params["gamma_points"], "gamma_points", int, 11)
+    if gamma is not None:
+        return [gamma]
     if not 1 <= n <= GAMMA_POINTS_MAX:
         raise CliError(f"gamma_points must lie in [1, {GAMMA_POINTS_MAX}], got {n}", "gamma_points")
     lo, hi = cnot_qnd.GAMMA_MIN, 1.0
@@ -148,14 +151,13 @@ def cmd_cnot_sweep(params: dict) -> tuple[dict, str]:
 def cmd_optics(params: dict) -> dict:
     eta = _number(params["eta"], "eta", default=1.0 / 3.0)
     loss = _switch(params["loss"], "loss")
+    alpha, beta = (_number(params[k], k, default=d) for k, d in (("alpha", 1.0), ("beta", 0.0)))
     if params["signal"] is not None:
         label = str(params["signal"]).upper()
         if label not in ("H", "V"):
             raise CliError(f"signal must be H or V, got {params['signal']}", "signal")
         signal = PureState([1, 0] if label == "H" else [0, 1])
     else:
-        alpha = _number(params["alpha"], "alpha", default=1.0)
-        beta = _number(params["beta"], "beta", default=0.0)
         signal = _checked("alpha", ValueError, PureState.from_amplitudes, [alpha, beta])
     a = _number(params["strength_a"], "strength_a")
     if a is None:
@@ -176,23 +178,21 @@ def cmd_optics(params: dict) -> dict:
 
 
 def cmd_weak(params: dict) -> dict:
-    alpha = _number(params["alpha"], "alpha")
+    alpha, beta, gamma = (_number(params[key], key) for key in ("alpha", "beta", "gamma"))
+    shots, seed = _number(params["shots"], "shots", int), _number(params["seed"], "seed", int)
     if alpha is None:
         raise CliError("alpha is required", "alpha")
     analytic, bound = _switch(params["analytic"], "analytic"), _switch(params["bound"], "bound")
     if bound:
         gamma_max = _checked("alpha", weakval.WeakValueError, weakval.negativity_gamma_bound, alpha)
         return {"gamma_max": gamma_max}
-    beta, gamma = _number(params["beta"], "beta"), _number(params["gamma"], "gamma")
     if beta is None or gamma is None:
         raise CliError("beta and gamma are required", "beta" if beta is None else "gamma")
     _checked("alpha", ValueError, PureState, [alpha, beta])
     errors = (weakval.WeakValueError, cnot_qnd.StrengthError)
     plus, minus, p_plus = _checked("gamma", errors, weakval.postselected_mean_n, alpha, beta, gamma)
     results = {"analytic": {"plus_value": plus, "minus_value": minus, "p_plus": p_plus}}
-    shots = _number(params["shots"], "shots", int)
     if shots is not None and not analytic:
-        seed = _number(params["seed"], "seed", int)
         if seed is None:
             raise CliError("seed is required when sampling", "seed")
         for name, value, least in (("shots", shots, 1), ("seed", seed, 0)):

@@ -3,7 +3,7 @@
 Pure states of one system, orthonormal measurement bases and probability
 vectors, each an immutable value checked when it is built and compared by
 identity (a qubit basis also caches the read matrices of ``metrics._read``),
-plus the probability-table check, and the short-axis sum that ``metrics`` shares.
+plus the probability-table check.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ PROB_CLAMP = 1e-12
 ZERO_NORM = 1e-14  # amplitudes of a smaller norm are the zero vector, which has no state
 ZERO_BRANCH = 1e-14  # branch probability below which a measurement outcome has no post-measurement state
 ORTHONORMAL_ATOL = 1e-10  # largest entry of |V^dag V - 1| accepted for a basis
-SHORT_AXIS = 8  # longest last axis that _sum_last adds slice by slice; longer ones use pairwise sums
 
 
 class HilbertError(ValueError):
@@ -117,17 +116,6 @@ X_BASIS = BasisSpec(np.array([[1, 1], [1, -1]]) / math.sqrt(2))
 Y_BASIS = BasisSpec(np.array([[1, 1], [1j, -1j]]) / math.sqrt(2))
 
 
-def _sum_last(x: np.ndarray) -> np.ndarray:
-    """``x.sum(axis=-1)``, as in-order slice adds if that axis is short: on small
-    arrays each add costs a fraction of one numpy reduction."""
-    if not 0 < x.shape[-1] <= SHORT_AXIS:
-        return x.sum(axis=-1)
-    s = x[..., 0]
-    for i in range(1, x.shape[-1]):
-        s = s + x[..., i]
-    return s
-
-
 def checked_probabilities(p) -> np.ndarray:
     """``p``, a stack of probability vectors along its last axis, clipped at 0;
     HilbertError for an entry below -PROB_CLAMP or a sum not 1 within
@@ -136,7 +124,7 @@ def checked_probabilities(p) -> np.ndarray:
     if p.min(initial=0.0) < -PROB_CLAMP:  # an empty p falls through to the sum check
         raise HilbertError(f"negative probability {p.min()}")
     p = np.maximum(p, 0.0)
-    s = _sum_last(p)
+    s = p.sum(axis=-1)
     ok = abs(s - 1.0) <= PROB_ATOL
     if not ok.all():
         raise HilbertError(f"probabilities sum to {s[~ok][0]}, not 1")

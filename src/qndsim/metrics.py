@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import BasisSpec, ProbDist, _as_readonly, _sum_last
+from .hilbert import BasisSpec, ProbDist, _as_readonly
 
 RANGE_ATOL = 1e-12  # a figure of merit accepted this far outside its range, e.g. [0, 1]
 READ_CACHE_SIZE = 64  # (basis, probe states) pairs whose read matrices ``_read`` keeps
@@ -55,7 +55,7 @@ def classical_fidelity(p, q) -> float:
     pa, qa = _as_dist(p), _as_dist(q)
     if pa.size != qa.size:
         raise MetricsError(f"distribution length mismatch: {pa.size} vs {qa.size}")
-    return float(_sum_last(np.sqrt(pa * qa)) ** 2)
+    return float(np.sqrt(pa * qa).sum() ** 2)
 
 
 def measurement_fidelity(p_in, p_m) -> float:
@@ -152,18 +152,6 @@ _K, _BLOCK, _J, _I = np.indices((2, 2, 2, 4)).reshape(4, -1, 1)
 _SUCCESS = ((_I == np.arange(4)) & (_BLOCK == _I // 2)).astype(float)
 _FIGURES = 0.5 * np.hstack(((_BLOCK == 0) & (_I < 2) & (2 * _J + _K == np.arange(4)),
                             (_BLOCK == 1) & (_J == _I - 2)))
-# _TALLY sends the table to the numerators of L (inputs 0, 1) and P_c (inputs 2, 3), then the successes
-_TALLY = np.hstack(((_FIGURES[:, [0]] + _FIGURES[:, [3]] + _FIGURES[:, [4]]) * (_I == np.arange(4)), _SUCCESS))
-
-
-def _strength_forms(h: np.ndarray, basis: BasisSpec) -> np.ndarray:
-    """The read-only (3, 8) forms F of M(a) = a H_0 + abar H_1, H_j = h[..., j], at real
-    (a, abar): n = [a^2, a abar, abar^2] @ F holds the numerators of L (inputs 0, 1) and P_c
-    (inputs 2, 3) and the four successes, so L = n_0/n_4 + n_1/n_5 and P_c = n_2/n_6 + n_3/n_7
-    as ``_read`` conditions each input. A Born-table entry |a y_0 + abar y_1|^2, y_j = H_j S,
-    is a^2 |y_0|^2 + 2 a abar Re(y_0 conj(y_1)) + abar^2 |y_1|^2."""
-    y0, y1 = (h.transpose(3, 0, 1, 2).reshape(4, 4) @ basis.born_products).reshape(2, 32)
-    return _as_readonly(np.array([np.abs(y0) ** 2, 2 * (y0 * y1.conj()).real, np.abs(y1) ** 2]) @ _TALLY, float)
 
 
 @functools.lru_cache(maxsize=READ_CACHE_SIZE)

@@ -26,25 +26,22 @@ the loss (-r l). The HOM pair bunches into either arm with probability
 and success is sum_ij D[i][j]^2 |s_i m_j|^2; the four sum to 1. ``run_gate``
 and ``heralded_kraus`` read the gate off D in scalar arithmetic; the mode
 unitary, its permanents and the Fock expansion check it in
-``tests/oracles.py``. The a-scan reads a cached (3, 8) quadratic form per
-eta off the stacks at the meters |H> and |V>, the stack being linear in the
-meter amplitudes (a, sqrt(1 - a^2)).
+``tests/oracles.py``. The a-scan reads the same table at the meter
+(a, sqrt(1 - a^2)) with the balancing loss, and caches nothing per eta.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import metrics
-from .hilbert import ZERO_BRANCH, Z_BASIS, PureState
+from .hilbert import ZERO_BRANCH, PureState
 
 A_MAX = math.sqrt(3.0) / 2.0
 A_MAX_ATOL = 1e-12  # strength a accepted up to A_MAX + A_MAX_ATOL, then clipped to A_MAX
-FORMS_CACHE_SIZE = 8  # a-scan forms kept, one per eta
 _HWP = 1.0 / math.sqrt(2.0)  # the output HWP on the meter's (H, V) is [[h, h], [h, -h]]
 _NOT_QUBITS = "signal and meter must be single-photon polarization qubits"
 
@@ -89,7 +86,7 @@ def _strength_amps(a: float) -> tuple[float, float]:
     """The amplitudes (a, sqrt(1 - a^2)) of ``meter_prep_strength``, a checked and clipped."""
     if not (0.0 <= a <= A_MAX + A_MAX_ATOL):
         raise PhotonicsError(f"strength a must lie in [0, {A_MAX:.6f}], got {a}")
-    a = min(a, A_MAX)
+    a = min(float(a), A_MAX)
     return a, math.sqrt(1.0 - a * a)
 
 
@@ -119,14 +116,6 @@ def _kraus(d: tuple, m_h: complex, m_v: complex) -> np.ndarray:
     """The diagonal stack M_k = diag_i(G[i][k]) at meter amplitudes (m_h, m_v), shape (2, 2, 2)."""
     g_hh, g_hv, g_vh, g_vv = _branches(d, m_h, m_v)
     return np.array((g_hh, 0.0, 0.0, g_vh, g_hv, 0.0, 0.0, g_vv), complex).reshape(2, 2, 2)
-
-
-@functools.lru_cache(maxsize=FORMS_CACHE_SIZE)
-def _strength_forms(eta: float) -> np.ndarray:
-    """The a-scan's ``metrics._strength_forms`` of the lossy gate at eta, meter |H> and |V>."""
-    d, _ = _herald_table(eta, True)
-    h = np.array((_kraus(d, 1.0, 0.0), _kraus(d, 0.0, 1.0))).transpose(1, 2, 3, 0)  # h[..., j] at meter e_j
-    return metrics._strength_forms(h, Z_BASIS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,15 +201,22 @@ def strength_distinguishability(a: float, eta: float = 1.0 / 3.0):
     K from the heralded likelihood L that the meter readout matches the signal output, K_bar
     from diagonal/antidiagonal signals read out in the H/V basis, each input conditioned on
     its own heralding, as ``metrics._read`` reads ``heralded_kraus`` of the checked a and eta
-    with the balancing loss: L, P_c and the heralding are quadratic forms in the meter
-    amplitudes (a, abar), kept per eta by ``_strength_forms``. The pair is range-checked as
-    it leaves. Also returns the equivalent CNOT strength sqrt(L).
+    with the balancing loss. That stack is M_k = diag_i G[i][k] at the meter (a, abar), so
+    with s_i = G[i][H]^2 + G[i][V]^2, the heralding of |i>,
+
+        L = (G[H][H]^2 / s_H + G[V][V]^2 / s_V) / 2,
+        P_c = sum_k (G[H][k] + G[V][k])^2 / (2 (s_H + s_V)),
+
+    |+> and |-> being heralded with (s_H + s_V) / 2. The pair is range-checked as it leaves.
+    Also returns the equivalent CNOT strength sqrt(L).
     """
-    forms = _strength_forms(_check_eta(eta))
+    d, _ = _herald_table(_check_eta(eta), True)
     a, a_bar = _strength_amps(a)
-    n = (np.array([a * a, a * a_bar, a_bar * a_bar]) @ forms).tolist()
+    g_hh, g_hv, g_vh, g_vv = _branches(d, a, a_bar)
+    s_h, s_v = g_hh * g_hh + g_hv * g_hv, g_vh * g_vh + g_vv * g_vv
     try:
-        likelihood, p_c = n[0] / n[4] + n[1] / n[5], n[2] / n[6] + n[3] / n[7]
+        likelihood = 0.5 * (g_hh * g_hh / s_h + g_vv * g_vv / s_v)
+        p_c = ((g_hh + g_vh) ** 2 + (g_hv + g_vv) ** 2) / (2.0 * (s_h + s_v))
     except ZeroDivisionError:  # a heralding probability underflows, e.g. at eta = 5e-324
         raise PhotonicsError(f"the gate heralds an input with probability 0 at a = {a}, eta = {eta}") from None
     pair = metrics.distinguishability(likelihood, p_c)

@@ -267,6 +267,9 @@ def test_rerun_from_embedded_config(capsys, tmp_path):
         (["weak", "--alpha", "0.8", "--beta", "-0.6", "--gamma", "0.85",
           "--shots", "2000", "--seed", "5"], None),
         (["weak"], {"alpha": 0.8, "beta": -0.6, "gamma": 0.85, "shots": 2000, "seed": 5}),
+        # a finite parameter that the mode ignores is echoed and replayed
+        (["optics", "--signal", "H", "--beta", "0.5"], None),
+        (["weak", "--alpha", "0.8", "--beta", "-0.6", "--bound"], None),
     ],
 )
 def test_report_replays_from_its_own_config(capsys, tmp_path, argv, config):
@@ -320,6 +323,10 @@ WEAK = ["weak", "--alpha", "0.8", "--beta", "-0.6", "--gamma", "0.8"]
         (["fidelity", "--p-in", "1,0", "--p-m", "1,0"], {"seed": 3}, "seed"),
         (WEAK + ["--analytic"], {"format": "csv"}, "format"),
         (WEAK + ["--analytic"], {"config": {"alpha": 0.8}, "results": {}}, "config"),
+        # a parameter that the mode ignores is still parsed: its report would hold a bare NaN or Infinity
+        (["optics", "--signal", "H", "--beta", "nan"], None, "beta"),
+        (["optics", "--signal", "V", "--alpha", "inf"], None, "alpha"),
+        (["weak", "--alpha", "0.8", "--beta=-inf", "--gamma", "1e300", "--bound"], None, "beta"),
     ],
 )
 def test_bad_input_exits_2_naming_the_field(capsys, tmp_path, argv, config, field):

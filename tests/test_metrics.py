@@ -375,23 +375,6 @@ def _reference_fidelity(p, q):
     return np.einsum("...i->...", np.sqrt(p * q)) ** 2
 
 
-def test_strength_forms_read_a_real_mix_of_two_complex_stacks():
-    # n = [a^2, a abar, abar^2] @ F against the reader on a H_0 + abar H_1, each input
-    # conditioned on its own success, for stacks and bases with complex entries
-    rng = np.random.default_rng(29)
-    for _ in range(50):
-        h = rng.normal(size=(2, 2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2, 2))
-        basis = _random_bases(rng, 1)[0]
-        forms = metrics._strength_forms(h, basis)
-        assert forms.shape == (3, 8) and not forms.flags.writeable
-        for a in rng.uniform(0.0, 1.0, 5):
-            a_bar = math.sqrt(1.0 - a * a)
-            n = np.array([a * a, a * a_bar, a_bar * a_bar]) @ forms
-            _, likelihood, p_c, _ = metrics._read(a * h[..., 0] + a_bar * h[..., 1], basis)
-            assert abs(n[0] / n[4] + n[1] / n[5] - likelihood) <= 2e-15
-            assert abs(n[2] / n[6] + n[3] / n[7] - p_c) <= 2e-15
-
-
 def test_reader_probe_columns_match_einsum_reference():
     from qndsim import cnot_qnd
     from qndsim.hilbert import PureState
