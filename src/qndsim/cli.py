@@ -16,7 +16,8 @@ given (for ``fidelity``, with those read from its counts file), so
 and meter states. A parameter given is type-checked, and a number must be
 finite, even where the mode ignores it; only those it reads are range-checked.
 Errors go to stderr as {"error": ..., "field": ...}:
-exit code 2 for bad input, naming the offending field, 1 for an internal fault.
+exit code 2 for bad input, naming the offending field, 1 for an internal fault,
+a non-finite result in a JSON report among them.
 """
 from __future__ import annotations
 
@@ -225,7 +226,8 @@ def _run(args: argparse.Namespace) -> int:
         "duration_s": time.monotonic() - started,
         "results": results,
     }
-    text = csv_text if getattr(args, "format", None) == "csv" else json.dumps(report, indent=2)
+    # allow_nan=False: a non-finite result is an internal fault, not a report that is not JSON
+    text = csv_text if getattr(args, "format", None) == "csv" else json.dumps(report, indent=2, allow_nan=False)
     if args.out:
         try:
             with open(args.out, "w") as fh:

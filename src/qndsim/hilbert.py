@@ -2,14 +2,13 @@
 
 Pure states of one system, orthonormal measurement bases and probability
 vectors, each an immutable value checked when it is built and compared by
-identity (a qubit basis also caches the read matrices of ``metrics._read``),
-plus the probability-table check.
+identity, plus the probability-table check.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +18,7 @@ PROB_ATOL = 1e-10
 PROB_CLAMP = 1e-12
 ZERO_NORM = 1e-14  # amplitudes of a smaller norm are the zero vector, which has no state
 ZERO_BRANCH = 1e-14  # branch probability below which a measurement outcome has no post-measurement state
+HERALD_MIN = sys.float_info.min  # a heralding probability below this is subnormal, its squares imprecise
 ORTHONORMAL_ATOL = 1e-10  # largest entry of |V^dag V - 1| accepted for a basis
 
 
@@ -97,18 +97,6 @@ class BasisSpec:
     @property
     def dim(self) -> int:
         return self.vectors.shape[0]
-
-    @functools.cached_property
-    def outputs(self) -> np.ndarray:
-        """B = [V | V X]: the eigenstates of this qubit basis and of its conjugate, as columns."""
-        return _as_readonly(np.concatenate((self.vectors, self.vectors @ X_BASIS.vectors), axis=1))
-
-    @functools.cached_property
-    def born_products(self) -> np.ndarray:
-        """S[(o, n), (j, i)] = conj(B[o, j]) B[n, i] over ``outputs`` B: a flattened Kraus
-        operator M times S gives the amplitudes b_j^dag M b_i."""
-        b = self.outputs
-        return _as_readonly((b.conj()[:, None, :, None] * b[:, None, :]).reshape(4, 16))
 
 
 Z_BASIS = BasisSpec(np.eye(2))

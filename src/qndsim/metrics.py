@@ -8,21 +8,19 @@ against an independent computation. The qubit observables that
 correlation C^2 is K^2, and its shortcut 2 F_QSP - 1 is K, identities for
 any qubit stack and basis (not for other eigenvalues, nor for qudits). Outside
 input is checked where it enters and not again: ``kraus_figures`` is the
-public, checked reader of a Kraus stack, and the scorers read the plain arrays
-of the internal ``_read``.
+public, checked reader of a Kraus stack; the gates' own scorers read their
+figures in closed form off their branch tables.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import BasisSpec, ProbDist, _as_readonly
+from .hilbert import HERALD_MIN, X_BASIS, BasisSpec, ProbDist
 
 RANGE_ATOL = 1e-12  # a figure of merit accepted this far outside its range, e.g. [0, 1]
-READ_CACHE_SIZE = 64  # (basis, probe states) pairs whose read matrices ``_read`` keeps
 
 
 class MetricsError(ValueError):
@@ -130,65 +128,22 @@ def kraus_figures(m: np.ndarray, basis: BasisSpec) -> tuple[np.ndarray, Distingu
     of the maximally mixed input read in ``basis``; its trace is F_QSP = L, and C^2 = K^2.
     K_bar uses the conjugate eigenstates, the columns of ``basis.vectors @ X_BASIS.vectors``.
     MetricsError if ``basis`` is not a qubit BasisSpec, if ``m`` is not of shape (..., 2, 2, 2),
-    is not finite or heralds one of these inputs with probability 0.
+    is not finite or heralds one of these inputs with a probability below the smallest
+    normal float, where the squared amplitudes lose their relative precision.
     """
     m = np.asarray(m)
-    _qubit_basis(basis, MetricsError)
+    v = _qubit_basis(basis, MetricsError).vectors
     if m.shape[-3:] != (2, 2, 2):
         raise MetricsError(f"Kraus stack must have shape (..., 2, 2, 2), got {m.shape}")
     if not np.isfinite(m).all():
         raise MetricsError("Kraus stack has a non-finite entry")
-    if not ((np.abs(m @ basis.outputs) ** 2).sum(axis=(-3, -2)) > 0).all():
-        raise MetricsError("Kraus stack heralds a basis or conjugate input with probability 0")
-    q, likelihood, p_c, _ = _read(m, basis)
+    b = np.array((v, v @ X_BASIS.vectors))  # B = [V | V X], the basis and its conjugate, as blocks
+    t = np.abs(np.einsum("bsj,...kst,bti->...bkji", b.conj(), m, b)) ** 2  # |b_j^dag M_k b_i|^2
+    success = t.sum(axis=(-3, -2))  # [..., block, i]: sum_k |M_k b_i|^2
+    if not (success >= HERALD_MIN).all():
+        raise MetricsError(f"Kraus stack heralds a basis or conjugate input with probability {success.min():g}")
+    t = t / success[..., None, None, :]
+    q = 0.5 * np.einsum("...kji->...jk", t[..., 0, :, :, :])
     q.setflags(write=False)
-    return q, distinguishability(likelihood, p_c)
-
-
-# the rows (k, block, j, i) of the Born table's basis and conjugate inputs i, with input i
-# in block i // 2: _SUCCESS sums each input's success over its own block, and _FIGURES
-# reads (q00, q01, q10, q11, P_c) off the conditioned table
-_K, _BLOCK, _J, _I = np.indices((2, 2, 2, 4)).reshape(4, -1, 1)
-_SUCCESS = ((_I == np.arange(4)) & (_BLOCK == _I // 2)).astype(float)
-_FIGURES = 0.5 * np.hstack(((_BLOCK == 0) & (_I < 2) & (2 * _J + _K == np.arange(4)),
-                            (_BLOCK == 1) & (_J == _I - 2)))
-
-
-@functools.lru_cache(maxsize=READ_CACHE_SIZE)
-def _probe_read(basis: BasisSpec, probes: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_read``'s read-only matrices for a tuple of PureStates ``probes``, kept per basis
-    and tuple (both compare by identity, and neither can change): the read matrix [S | S_P],
-    with S = ``basis.born_products`` and S_P[(o, n), (j, p)] = conj(V[o, j]) a_p[n]; R, the 0/1
-    matrix that sums u[(k, j, p)] = |v_j^dag M_k a_p|^2 over j into p_m and over k into p_out,
-    as rows (p, fidelity, outcome); and W, which weighs those rows by sqrt(p_in[p, outcome])
-    into rows (p, fidelity), so that the unconditioned fidelities are (W @ sqrt(R @ u))^2."""
-    a, v = np.array([state.amps for state in probes]), basis.vectors
-    s_p = (v.conj()[:, None, :, None] * a.T[:, None, :]).reshape(4, -1)
-    p, fid, o = np.indices((len(a), 2, 2)).reshape(3, -1, 1)  # rows of R, columns of W
-    k, j, p_u = np.indices((2, 2, len(a))).reshape(3, 1, -1)  # columns of R: u's rows
-    r = (p == p_u) & (o == np.where(fid, j, k))
-    w = (np.abs(a @ v.conj())[p, o] * (2 * p + fid == np.arange(2 * len(a)))).T
-    return _as_readonly(np.hstack((basis.born_products, s_p))), _as_readonly(r, float), _as_readonly(w, float)
-
-
-def _read(m: np.ndarray, basis: BasisSpec, probes: tuple | None = None):
-    """``kraus_figures`` of ``m`` unchecked, as the plain arrays (q, L, P_c), and the
-    unconditioned (F_M, F_QND) of each PureState of the tuple ``probes`` as
-    (n, 2, ...m's batch), or None.
-
-    The figures come from one Born table t[..., k, block, j, i] = |b_j^dag M_k b_i|^2 over
-    the outputs B = [V | V X] as both outputs and inputs: one product of the flattened M_k
-    with ``basis.born_products``, read through the constant matrices _SUCCESS and _FIGURES.
-    The probes join that product as the columns S_P of ``_probe_read``, then R and W.
-    """
-    read, r, w = (basis.born_products, None, None) if probes is None else _probe_read(basis, probes)
-    x = np.abs(m.reshape(-1, 4) @ read) ** 2
-    t = x[:, :16].reshape(-1, 8, 4)  # [..., k, block, j, i]
-    c = (t / (t.reshape(-1, 32) @ _SUCCESS)[:, None]).reshape(-1, 32)  # conditioned on success
-    f = (c @ _FIGURES).reshape(m.shape[:-3] + (5,))
-    q = f[..., :4].reshape(f.shape[:-1] + (2, 2))  # q[..., j, k]: the maximally mixed input over V
-    likelihood, p_c = q[..., 0, 0] + q[..., 1, 1], f[..., 4]
-    if probes is None:
-        return q, likelihood, p_c, None
-    u = x[:, 16:].reshape(-1, r.shape[1]).T  # [(k, j, probe), ...]
-    return q, likelihood, p_c, ((w @ np.sqrt(r @ u)) ** 2).reshape((len(probes), 2) + m.shape[:-3])
+    p_c = 0.5 * np.einsum("...kii->...", t[..., 1, :, :, :])
+    return q, distinguishability(np.einsum("...ii->...", q), p_c)

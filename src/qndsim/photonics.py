@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .hilbert import ZERO_BRANCH, PureState
+from .hilbert import HERALD_MIN, ZERO_BRANCH, PureState
 
 A_MAX = math.sqrt(3.0) / 2.0
 A_MAX_ATOL = 1e-12  # strength a accepted up to A_MAX + A_MAX_ATOL, then clipped to A_MAX
@@ -200,24 +200,25 @@ def strength_distinguishability(a: float, eta: float = 1.0 / 3.0):
 
     K from the heralded likelihood L that the meter readout matches the signal output, K_bar
     from diagonal/antidiagonal signals read out in the H/V basis, each input conditioned on
-    its own heralding, as ``metrics._read`` reads ``heralded_kraus`` of the checked a and eta
-    with the balancing loss. That stack is M_k = diag_i G[i][k] at the meter (a, abar), so
-    with s_i = G[i][H]^2 + G[i][V]^2, the heralding of |i>,
+    its own heralding, as ``metrics.kraus_figures`` reads ``heralded_kraus`` of the checked a
+    and eta with the balancing loss. That stack is M_k = diag_i G[i][k] at the meter (a, abar),
+    so with s_i = G[i][H]^2 + G[i][V]^2, the heralding of |i>,
 
         L = (G[H][H]^2 / s_H + G[V][V]^2 / s_V) / 2,
         P_c = sum_k (G[H][k] + G[V][k])^2 / (2 (s_H + s_V)),
 
-    |+> and |-> being heralded with (s_H + s_V) / 2. The pair is range-checked as it leaves.
-    Also returns the equivalent CNOT strength sqrt(L).
+    |+> and |-> being heralded with (s_H + s_V) / 2. PhotonicsError if s_H or s_V is below
+    the smallest normal float: there the squares lose their relative precision. The pair is
+    range-checked as it leaves. Also returns the equivalent CNOT strength sqrt(L).
     """
     d, _ = _herald_table(_check_eta(eta), True)
     a, a_bar = _strength_amps(a)
     g_hh, g_hv, g_vh, g_vv = _branches(d, a, a_bar)
     s_h, s_v = g_hh * g_hh + g_hv * g_hv, g_vh * g_vh + g_vv * g_vv
-    try:
-        likelihood = 0.5 * (g_hh * g_hh / s_h + g_vv * g_vv / s_v)
-        p_c = ((g_hh + g_vh) ** 2 + (g_hv + g_vv) ** 2) / (2.0 * (s_h + s_v))
-    except ZeroDivisionError:  # a heralding probability underflows, e.g. at eta = 5e-324
-        raise PhotonicsError(f"the gate heralds an input with probability 0 at a = {a}, eta = {eta}") from None
+    if s_h < HERALD_MIN or s_v < HERALD_MIN:  # subnormal or 0, e.g. at eta = 5e-324
+        raise PhotonicsError(f"the gate heralds an input with probability {min(s_h, s_v):g}, below the"
+                             f" smallest normal float, at a = {a}, eta = {eta}")
+    likelihood = 0.5 * (g_hh * g_hh / s_h + g_vv * g_vv / s_v)
+    p_c = ((g_hh + g_vh) ** 2 + (g_hv + g_vv) ** 2) / (2.0 * (s_h + s_v))
     pair = metrics.distinguishability(likelihood, p_c)
     return pair, math.sqrt((pair.k + 1.0) / 2.0)

@@ -21,11 +21,19 @@ is the gate's closed-form heralding probability at eta = 1/3.
 observables with any real eigenvalues. The library reads C^2 as K^2, an
 identity only for the +-1 eigenvalues of its qubit observables; the tests
 check that identity against this general form.
+
+``born_read`` is the general Born-table reader of any qubit Kraus stack: the
+joint table, L and P_c, and the unconditioned F_M and F_QND of probe states,
+from one matrix product and constant 0/1 matrices. The library scores both
+gates in closed form on their branch tables G, and the tests hold those
+forms to this reader. ``scan_figures_decimal`` evaluates the optical a-scan's
+L and P_c from the formulas of its docstring in 50-digit decimal arithmetic.
 """
 
 from __future__ import annotations
 
 import collections
+import decimal
 import math
 from dataclasses import dataclass
 
@@ -309,3 +317,89 @@ def two_photon_input(signal_pol: PureState, meter_pol: PureState, layout: ModeLa
                 pattern[m_idx[j]] += 1
                 amps[tuple(pattern)] = amp
     return FockState(m, amps)
+
+
+# ------------------------------------------------------ the general Born-table reader
+
+
+def outputs(basis):
+    """B = [V | V X]: the eigenstates of a qubit basis and of its conjugate, as columns."""
+    return np.concatenate((basis.vectors, basis.vectors @ hs.X_BASIS.vectors), axis=1)
+
+
+def born_products(basis):
+    """S[(o, n), (j, i)] = conj(B[o, j]) B[n, i] over ``outputs`` B: a flattened Kraus
+    operator M times S gives the amplitudes b_j^dag M b_i."""
+    b = outputs(basis)
+    return (b.conj()[:, None, :, None] * b[:, None, :]).reshape(4, 16)
+
+
+# the rows (k, block, j, i) of the Born table's basis and conjugate inputs i, with input i
+# in block i // 2: SUCCESS sums each input's success over its own block, and FIGURES
+# reads (q00, q01, q10, q11, P_c) off the conditioned table
+_K, _BLOCK, _J, _I = np.indices((2, 2, 2, 4)).reshape(4, -1, 1)
+SUCCESS = ((_I == np.arange(4)) & (_BLOCK == _I // 2)).astype(float)
+FIGURES = 0.5 * np.hstack(((_BLOCK == 0) & (_I < 2) & (2 * _J + _K == np.arange(4)),
+                           (_BLOCK == 1) & (_J == _I - 2)))
+
+
+def probe_read(basis, probes):
+    """The read matrices of the PureStates ``probes``: [S | S_P], with S = ``born_products``
+    and S_P[(o, n), (j, p)] = conj(V[o, j]) a_p[n]; R, the 0/1 matrix that sums
+    u[(k, j, p)] = |v_j^dag M_k a_p|^2 over j into p_m and over k into p_out, as rows
+    (p, fidelity, outcome); and W, which weighs those rows by sqrt(p_in[p, outcome]) into
+    rows (p, fidelity), so that the unconditioned fidelities are (W @ sqrt(R @ u))^2."""
+    a, v = np.array([state.amps for state in probes]), basis.vectors
+    s_p = (v.conj()[:, None, :, None] * a.T[:, None, :]).reshape(4, -1)
+    p, fid, o = np.indices((len(a), 2, 2)).reshape(3, -1, 1)  # rows of R, columns of W
+    k, j, p_u = np.indices((2, 2, len(a))).reshape(3, 1, -1)  # columns of R: u's rows
+    r = (p == p_u) & (o == np.where(fid, j, k))
+    w = (np.abs(a @ v.conj())[p, o] * (2 * p + fid == np.arange(2 * len(a)))).T
+    return np.hstack((born_products(basis), s_p)), r.astype(float), w
+
+
+def born_read(m, basis, probes=None):
+    """The figures of the Kraus stacks ``m`` (..., 2, 2, 2) read in ``basis``, unchecked: the
+    joint table q, L and P_c as plain arrays, and the unconditioned (F_M, F_QND) of each
+    PureState of ``probes`` as (n, 2, ...m's batch), or None.
+
+    The figures come from one Born table t[..., k, block, j, i] = |b_j^dag M_k b_i|^2 over
+    the outputs B = [V | V X] as both outputs and inputs: one product of the flattened M_k
+    with ``born_products``, read through the constant matrices SUCCESS and FIGURES. The
+    probes join that product as the columns S_P of ``probe_read``, then R and W.
+    """
+    read, r, w = (born_products(basis), None, None) if probes is None else probe_read(basis, probes)
+    x = np.abs(m.reshape(-1, 4) @ read) ** 2
+    t = x[:, :16].reshape(-1, 8, 4)  # [..., k, block, j, i]
+    c = (t / (t.reshape(-1, 32) @ SUCCESS)[:, None]).reshape(-1, 32)  # conditioned on success
+    f = (c @ FIGURES).reshape(m.shape[:-3] + (5,))
+    q = f[..., :4].reshape(f.shape[:-1] + (2, 2))  # q[..., j, k]: the maximally mixed input over V
+    likelihood, p_c = q[..., 0, 0] + q[..., 1, 1], f[..., 4]
+    if probes is None:
+        return q, likelihood, p_c, None
+    u = x[:, 16:].reshape(-1, r.shape[1]).T  # [(k, j, probe), ...]
+    return q, likelihood, p_c, ((w @ np.sqrt(r @ u)) ** 2).reshape((len(probes), 2) + m.shape[:-3])
+
+
+# ------------------------------------------------- the a-scan in 50-digit decimals
+
+
+def scan_figures_decimal(a: float, eta: float):
+    """(L, P_c, min(s_H, s_V)) of ``photonics.strength_distinguishability(a, eta)`` as Decimals,
+    in 50-digit arithmetic from the exact values of the floats a and eta: the heralding table
+    D = [[1 - 2 eta, r], [-r l, l]], r = sqrt(eta), l^2 = 1/3, read at the meter (a, sqrt(1 - a^2))
+    through the output HWP, G[i][k] = sum_j HWP[k][j] D[i][j] m_j, and with
+    s_i = G[i][H]^2 + G[i][V]^2, L = (G[H][H]^2 / s_H + G[V][V]^2 / s_V) / 2 and
+    P_c = sum_k (G[H][k] + G[V][k])^2 / (2 (s_H + s_V))."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        a, eta, one = decimal.Decimal(a), decimal.Decimal(eta), decimal.Decimal(1)
+        r, ell, h = eta.sqrt(), (one / 3).sqrt(), (one / 2).sqrt()
+        d = ((1 - 2 * eta, r), (-r * ell, ell))
+        meter = (a, (1 - a * a).sqrt())
+        hwp = ((h, h), (h, -h))
+        g = [[sum(hwp[k][j] * d[i][j] * meter[j] for j in range(2)) for k in range(2)] for i in range(2)]
+        s = [g[i][0] ** 2 + g[i][1] ** 2 for i in range(2)]
+        likelihood = (g[0][0] ** 2 / s[0] + g[1][1] ** 2 / s[1]) / 2
+        p_c = sum((g[0][k] + g[1][k]) ** 2 for k in range(2)) / (2 * (s[0] + s[1]))
+        return likelihood, p_c, min(s)

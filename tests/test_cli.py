@@ -366,6 +366,9 @@ S = "0.7071067811865476"  # 1/sqrt(2)
         # the H signal, heralded with probability eta, underflows to probability 0
         (["optics", "--eta", "5e-324", "--strength-a", "0"], None, "eta",
          "Kraus stack heralds a basis or conjugate input with probability 0"),
+        # heralded with a subnormal probability, where the squared amplitudes lose their precision
+        (["optics", "--eta", "5e-324", "--strength-a", "1e-170"], None, "eta",
+         "Kraus stack heralds a basis or conjugate input with probability 4.94066e-324"),
         (["weak", "--beta", "0.6", "--gamma", "0.8"], None, "alpha", "alpha is required"),
         (["weak", "--alpha", "0.8", "--beta", "-0.6"], None, "gamma", "beta and gamma are required"),
         (["weak", "--alpha", "0.8", "--gamma", "0.8"], None, "beta", "beta and gamma are required"),
@@ -374,8 +377,8 @@ S = "0.7071067811865476"  # 1/sqrt(2)
          "shots", "empty post-selected ensemble"),
     ],
     ids=["malformed_flag", "malformed_config", "p_in_missing", "conditionals_without_p_m", "no_figure",
-         "signal_config", "eta_heralds_nothing", "alpha_missing", "gamma_missing", "beta_missing",
-         "empty_post_selection"],
+         "signal_config", "eta_heralds_nothing", "eta_heralds_subnormal", "alpha_missing", "gamma_missing",
+         "beta_missing", "empty_post_selection"],
 )
 def test_each_bad_input_branch_exits_2_naming_its_field(capsys, tmp_path, argv, config, field, message):
     if config is not None:
@@ -386,3 +389,15 @@ def test_each_bad_input_branch_exits_2_naming_its_field(capsys, tmp_path, argv, 
     assert code == 2
     assert out == ""
     assert json.loads(err) == {"error": message, "field": field}
+
+
+def test_a_non_finite_result_is_an_internal_fault_not_a_report(capsys, monkeypatch):
+    # JSON has no NaN: the report is refused whole, with exit 1 and nothing on stdout
+    from qndsim import cli
+
+    monkeypatch.setattr(cli, "cmd_cnot_sweep", lambda params: ({"rows": [{"f_m": math.nan}]}, "f_m\nnan\n"))
+    code, out, err = run_cli(capsys, "cnot-sweep")
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)
+    assert error["field"] is None and "not JSON compliant" in error["error"]

@@ -140,27 +140,11 @@ def _read_matrix_bases():
     return [hs.Z_BASIS, hs.X_BASIS, hs.Y_BASIS] + [BasisSpec(random_unitary(rng, 2)) for _ in range(20)]
 
 
-def test_basis_read_matrices_are_cached_read_only_and_match_their_formulas():
-    for basis in _read_matrix_bases():
-        text = repr(basis)
-        v = basis.vectors
-        b = np.concatenate((v, v @ hs.X_BASIS.vectors), axis=1)
-        s = np.multiply.outer(b.conj(), b).transpose(0, 2, 1, 3).reshape(4, 16)  # [(o, n), (j, i)]
-        for name, want in (("outputs", b), ("born_products", s)):
-            got = getattr(basis, name)
-            assert got is getattr(basis, name)
-            assert not got.flags.writeable
-            with pytest.raises(ValueError):
-                got[0, 0] = 0.0
-            assert got.shape == want.shape and np.array_equal(got, want)
-        assert repr(basis) == text  # the cache is no field
-
-
 def test_equal_bases_read_a_stack_bit_for_bit_alike():
     rng = np.random.default_rng(31)
     m = rng.normal(size=(5, 2, 2, 2)) + 1j * rng.normal(size=(5, 2, 2, 2))
     for basis in _read_matrix_bases():
-        twin = BasisSpec(basis.vectors.copy())  # its read matrices not built yet
+        twin = BasisSpec(basis.vectors.copy())
         (joint, pair), (twin_joint, twin_pair) = (metrics.kraus_figures(m, b) for b in (basis, twin))
         for got, want in ((twin_joint, joint), (twin_pair.k, pair.k), (twin_pair.k_bar, pair.k_bar)):
             assert got.tobytes() == want.tobytes()

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import correlation_c2
+from oracles import born_products, born_read, correlation_c2, outputs
+from qndsim import hilbert as hs
 from qndsim import metrics
 from qndsim.hilbert import X_BASIS, BasisSpec
 from qndsim.metrics import (
@@ -360,6 +361,23 @@ def test_kraus_figures_names_a_basis_that_is_not_a_basis_spec(basis):
         metrics.kraus_figures(_cnot_kraus(0.9), basis)
 
 
+def test_kraus_figures_rejects_a_subnormal_heralding():
+    # below the smallest normal float, 2^-1022, the squared amplitudes lose their relative
+    # precision: the a-scan's stack at (a, eta) = (1e-170, 5e-324) heralds |H> with 5e-324
+    from qndsim import photonics
+
+    def reads_one_with(x):  # M_0 = |0><0|, M_1 = x |1><1|: |1> is heralded with x^2
+        return np.array([np.diag([1.0, 0.0]), np.diag([0.0, x])], dtype=complex)
+
+    below, at_floor = (math.ldexp(1.0 + e, -511) for e in (-(2**-53), 2**-52))  # squared: 2^-1022 (1 -+ ...)
+    for m in (reads_one_with(1e-160), reads_one_with(below),
+              photonics.heralded_kraus(photonics.meter_prep_strength(1e-170), 5e-324, True)):
+        with pytest.raises(MetricsError, match="probability [1-9]"):
+            metrics.kraus_figures(m, BasisSpec(np.eye(2)))
+    q, pair = metrics.kraus_figures(reads_one_with(at_floor), BasisSpec(np.eye(2)))
+    assert (pair.k, pair.k_bar) == (1.0, 0.0) and np.array_equal(q, np.diag([0.5, 0.5]))
+
+
 def _reference_probe_statistics(m, basis, probes):
     """p_in, p_m and p_out of the input states ``probes`` (rows) under the
     stacks ``m``, by explicit einsum contractions: p_m from the computational
@@ -388,14 +406,14 @@ def test_reader_probe_columns_match_einsum_reference():
     for _ in range(4):
         basis = BasisSpec(np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0])
         p_in, p_m, p_out = _reference_probe_statistics(m, basis, probes)
-        *figures, f = metrics._read(m, basis, ensemble)
+        *figures, f = born_read(m, basis, ensemble)
         assert f.shape == (7, 2, 3, 4)
         f = np.moveaxis(f, (0, 1), (-2, -1))
         # the unconditioned F_M and F_QND of each input, heralded stacks included
         np.testing.assert_allclose(f[..., 0], _reference_fidelity(p_in, p_m), rtol=0, atol=1e-14)
         np.testing.assert_allclose(f[..., 1], _reference_fidelity(p_in, p_out), rtol=0, atol=1e-14)
         # the probe columns leave the figures read beside them as they are without probes
-        for got, want in zip(figures, metrics._read(m, basis)[:3]):
+        for got, want in zip(figures, born_read(m, basis)[:3]):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
         # the CNOT sweep, against the reference on its per-strength stacks: the worst probe
         stacks = np.array([cnot_qnd.kraus(cnot_qnd.MeterPrep(g), basis) for g in gammas])
@@ -405,3 +423,34 @@ def test_reader_probe_columns_match_einsum_reference():
                                    rtol=0, atol=1e-14)
         np.testing.assert_allclose([r.f_qnd for r in rows], _reference_fidelity(p_in, p_out).min(axis=-1),
                                    rtol=0, atol=1e-14)
+
+def test_oracle_read_matrices_match_their_formulas():
+    rng = np.random.default_rng(29)
+    for basis in [hs.Z_BASIS, hs.X_BASIS, hs.Y_BASIS] + _random_bases(rng, 20):
+        v = basis.vectors
+        b = np.concatenate((v, v @ X_BASIS.vectors), axis=1)
+        s = np.multiply.outer(b.conj(), b).transpose(0, 2, 1, 3).reshape(4, 16)  # [(o, n), (j, i)]
+        for got, want in ((outputs(basis), b), (born_products(basis), s)):
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_sweep_matches_the_oracle_reader_on_random_bases():
+    # the sweep's closed forms on G against the Born-table reader on cnot_qnd.kraus's stacks.
+    # Against a long-double evaluation of the same figures, F_M and F_QND read by the oracle's
+    # products are off by up to 2.7e-15 and the closed forms by up to 1.4e-15, hence 4e-15
+    from qndsim import cnot_qnd
+    from qndsim.hilbert import PureState
+
+    rng = np.random.default_rng(79)
+    gammas = np.concatenate(([cnot_qnd.GAMMA_MIN, 1.0], rng.uniform(cnot_qnd.GAMMA_MIN, 1.0, 48)))
+    for basis in _random_bases(rng, 30):
+        n = int(rng.integers(1, 9))
+        probes = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+        ensemble = [PureState.from_amplitudes(a) for a in probes]
+        stacks = np.array([cnot_qnd.kraus(cnot_qnd.MeterPrep(g), basis) for g in gammas])
+        _, likelihood, p_c, f = born_read(stacks, basis, ensemble)
+        k, k_bar = 2 * likelihood - 1, 2 * p_c - 1
+        want = [gammas, f[:, 0].min(axis=0), f[:, 1].min(axis=0), likelihood, k, k_bar, k**2 + k_bar**2, k**2, k]
+        rows = cnot_qnd.strength_sweep(gammas, basis, ensemble)
+        got = np.array([[getattr(r, name) for name in cnot_qnd.SWEEP_FIELDS] for r in rows])
+        np.testing.assert_allclose(got, np.array(want).T, rtol=0, atol=4e-15)

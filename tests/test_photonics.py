@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qndsim import cnot_qnd as cq
@@ -20,8 +20,9 @@ from qndsim.photonics import (
     run_gate,
 )
 
-from oracles import (MET, SIG, FockState, LinearCircuit, ModeLayout, analytic_success, bs_matrix, build_qnd_circuit,
-                     class_weights, gate_parts, lift_two_photon, mode_unitary, pair_map, two_photon_input)
+from oracles import (MET, SIG, FockState, LinearCircuit, ModeLayout, analytic_success, born_read, bs_matrix,
+                     build_qnd_circuit, class_weights, gate_parts, lift_two_photon, mode_unitary, pair_map,
+                     scan_figures_decimal, two_photon_input)
 
 ETA = 1.0 / 3.0
 H = PureState([1, 0])
@@ -491,11 +492,33 @@ def test_strength_scan_reads_the_heralded_kraus_stack():
     cases += [(a, eta) for a in (0.0, ph.A_MAX / 2, ph.A_MAX) for eta in (1e-300, 1.0 - 2.0**-53)]
     for a, eta in cases:
         m = heralded_kraus(meter_prep_strength(a), eta, include_signal_loss=True)
-        _, likelihood, p_c, _ = metrics._read(m, hs.Z_BASIS)
+        _, likelihood, p_c, _ = born_read(m, hs.Z_BASIS)
         pair, gamma_eff = ph.strength_distinguishability(a, eta)
         assert abs(pair.k - (2 * likelihood - 1)) <= 2e-15
         assert abs(pair.k_bar - (2 * p_c - 1)) <= 2e-15
         assert abs(gamma_eff - math.sqrt(likelihood)) <= 2e-15
+
+
+SCAN_ATOL = 8 * 2.0**-52  # eight ulps of 1; K_bar, the worst, is off by up to 5 over 500 000 draws
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-330.0, 0.0), st.floats(math.log10(5e-324), 0.0))
+@example(math.log10(1e-170 / ph.A_MAX), math.log10(5e-324))  # K = 0.5 where the exact K is 4.5e-9
+@example(math.log10(1e-160 / ph.A_MAX), math.log10(5e-324))
+def test_strength_scan_matches_a_50_digit_reference_or_refuses(log_a, log_eta):
+    # a log-uniform down to 0 and eta down to 5e-324: where a heralding is subnormal the scan
+    # refuses, and elsewhere each figure is within a few ulps of 1 of the decimal reference
+    a, eta = min(ph.A_MAX * 10.0**log_a, ph.A_MAX), min(max(10.0**log_eta, 5e-324), 1.0 - 2.0**-53)
+    likelihood, p_c, least_heralding = scan_figures_decimal(a, eta)
+    try:
+        pair, gamma_eff = ph.strength_distinguishability(a, eta)
+    except PhotonicsError:
+        assert least_heralding < 1.01 * hs.HERALD_MIN  # a heralding is subnormal
+        return
+    assert abs(pair.k - float(2 * likelihood - 1)) <= SCAN_ATOL
+    assert abs(pair.k_bar - float(2 * p_c - 1)) <= SCAN_ATOL
+    assert abs(gamma_eff - float(likelihood.sqrt())) <= SCAN_ATOL
 
 
 @pytest.mark.parametrize("a, eta", [(-1e-300, ETA), (ph.A_MAX + 2 * ph.A_MAX_ATOL, ETA), (1.0, ETA), (math.nan, ETA),
