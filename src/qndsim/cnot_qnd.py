@@ -10,20 +10,26 @@ computational one.
 In its measured basis V the gate is diagonal: M_k = V diag(G[:, k]) V^dag, with
 the branch table G = [[gamma, gamma_bar], [gamma_bar, gamma]] whatever V is.
 ``kraus`` builds that stack, which the sampler, the POVM and the CLI read;
-``strength_sweep`` scores a grid of strengths in closed form on G and on the
-populations of its probe states, and checks its inputs where they enter.
+``strength_sweep`` scores a grid of strengths in closed form on G, and checks
+its inputs where they enter. Its F_M and F_QND are the worst case over every
+input: for a diagonal trace-preserving instrument p_in, p_m and p_out are linear
+in the input's populations w in the measured basis, and sqrt(F) is jointly
+concave, so the minimum lies at a vertex of w's simplex, a basis eigenstate.
+This does not cover a heralded instrument, conditioned on a success that is not
+linear in the input (ROADMAP.md, item 16).
 """
 
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import hilbert as hs
 from . import metrics
-from .hilbert import BasisSpec, PureState
+from .hilbert import BasisSpec
 
 GAMMA_MIN = 1.0 / math.sqrt(2.0)
 GAMMA_ATOL = 1e-12
@@ -33,28 +39,33 @@ class StrengthError(ValueError):
     """Meter amplitude outside the admissible range [1/sqrt(2), 1]."""
 
 
-def _checked_gammas(gammas) -> np.ndarray:
-    """``gammas`` as an array clipped to [1/sqrt(2), 1]; StrengthError naming
-    the first value outside that range by more than GAMMA_ATOL, NaN included."""
+def _checked_gammas(gammas, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """``gammas`` as the array numpy reads, and as floats clipped to [1/sqrt(2), 1].
+    TypeError unless it is an array of ``ndim`` dimensions of real numbers (a bool, a
+    complex number or a string is not one); StrengthError naming the first value outside
+    that range by more than GAMMA_ATOL, NaN included."""
     g = np.asarray(gammas)
+    # numpy reads a bool among numbers as a number, so a sequence's entries are typed one by one
+    if g.ndim != ndim or g.dtype.kind not in "iuf" or (
+            ndim and not isinstance(gammas, np.ndarray) and not {bool, np.bool_}.isdisjoint(map(type, gammas))):
+        raise TypeError(f"gamma must be {('a real number', 'a 1-D sequence of real numbers')[ndim]}, "
+                        f"got {reprlib.repr(gammas)}")
     ok = (GAMMA_MIN - GAMMA_ATOL <= g) & (g <= 1.0 + GAMMA_ATOL)
     if not ok.all():
         raise StrengthError(f"gamma out of range [{GAMMA_MIN:.4f}, 1]: {g[~ok][0]}")
-    return np.minimum(np.maximum(g, GAMMA_MIN), 1.0)
+    return g, np.minimum(np.maximum(g, GAMMA_MIN), 1.0)
 
 
 @dataclass(frozen=True)
 class MeterPrep:
     """Measurement strength: meter prepared in gamma|0> + gamma_bar|1>.
-    ``gamma`` holds the checked strength, clipped to [1/sqrt(2), 1]."""
+    ``gamma`` holds the checked strength, clipped to [1/sqrt(2), 1]; TypeError
+    unless it is a real number, StrengthError outside that range."""
 
     gamma: float
 
     def __post_init__(self):
-        g = np.asarray(self.gamma)
-        if g.ndim or g.dtype == bool:
-            raise TypeError(f"gamma must be a number, got {self.gamma!r}")
-        object.__setattr__(self, "gamma", float(_checked_gammas(g)))
+        object.__setattr__(self, "gamma", float(_checked_gammas(self.gamma, 0)[1]))
 
     @property
     def gamma_bar(self) -> float:
@@ -72,16 +83,6 @@ def kraus(prep: MeterPrep, basis: BasisSpec = hs.Z_BASIS) -> np.ndarray:
     p = v.T[:, :, None] * v.conj().T[:, None, :]  # p[j] = v_j v_j^dag
     stacks = np.array([p, p[::-1]]).reshape(2, -1).view(float)  # the stacks at c = (1, 0) and (0, 1)
     return (np.array([prep.gamma, prep.gamma_bar]) @ stacks).view(complex).reshape(2, 2, 2)
-
-
-_S = 1 / math.sqrt(2)
-_PAULI_ENSEMBLE = (hs.KET0, hs.KET1, hs.PLUS, hs.MINUS, hs.qubit(_S, 1j * _S), hs.qubit(_S, -1j * _S))
-
-
-def pauli_ensemble() -> list[PureState]:
-    """The six Pauli eigenstates |0>, |1>, |+>, |->, |+i>, |-i>; default probe
-    set spanning the qubit space."""
-    return list(_PAULI_ENSEMBLE)
 
 
 @dataclass(frozen=True)
@@ -105,51 +106,31 @@ SWEEP_FIELDS = tuple(f.name for f in fields(SweepRow))  # the CSV and JSON colum
 CSV_HEADER = ",".join(SWEEP_FIELDS)
 
 
-def strength_sweep(gammas, basis: BasisSpec = hs.Z_BASIS, ensemble=None) -> list[SweepRow]:
+def strength_sweep(gammas, basis: BasisSpec = hs.Z_BASIS) -> list[SweepRow]:
     """Characterize the device on a grid of strengths, in the given order; one point is the
-    single-device result. ``ensemble`` is a list of qubit PureStates (default ``pauli_ensemble()``).
+    single-device result. ``gammas`` is a 1-D sequence of real numbers (TypeError otherwise,
+    StrengthError out of range) and ``basis`` a qubit BasisSpec (HilbertError otherwise).
 
-    Each figure is a closed form of the branch table G and of the probes' populations
-    w[p, i] = |v_i^dag a_p|^2 in ``basis``. With s_i = sum_k |G[i][k]|^2,
-    L = (1/2) sum_i |G[i][i]|^2 / s_i and P_c = sum_k |G[0][k] + G[1][k]|^2 / (2 (s_0 + s_1));
-    a probe reads p_m = w |G|^2 on the meter and keeps p_out = w s, unconditioned, so
-    F_M = F(w, p_m) and F_QND = F(w, p_out) = s (sum_i w_i)^2. For the CNOT's
-    G = [[gamma, gamma_bar], [gamma_bar, gamma]], s = gamma^2 + gamma_bar^2, L = gamma^2 / s
-    and P_c = (gamma + gamma_bar)^2 / (2 s), so K_bar = 2 P_c - 1 = 2 gamma gamma_bar / s.
-    F_M and F_QND are the worst case over the given probes only, not over every input
-    (ROADMAP.md, item 12). The observables have eigenvalues +-1, so the C^2 of the joint
-    outcome statistics is K^2 (``c2_raw``) and its shortcut 2 F_QSP - 1 is K
-    (``c2_shortcut``), identities of the qubit joint table, not approximations."""
-    g = np.fromiter(gammas, dtype=float)
+    Each figure is a closed form of the branch table G = [[gamma, gamma_bar], [gamma_bar,
+    gamma]]. G is the same in every basis, and so is each column. With
+    s = gamma^2 + gamma_bar^2, L = gamma^2 / s and K_bar = 2 P_c - 1 = 2 gamma gamma_bar / s.
+    F_M and F_QND are the worst case over every input, at a basis eigenstate (module
+    docstring): F_M = gamma^2 and F_QND = s. gamma_bar^2 = (1 - gamma)(1 + gamma), without
+    the cancellation of 1 - gamma^2 near gamma = 1. With eigenvalues +-1, the C^2 of the joint
+    statistics is K^2 (``c2_raw``) and its shortcut 2 F_QSP - 1 is K (``c2_shortcut``)."""
+    given, gamma = _checked_gammas(gammas, 1)
     metrics._qubit_basis(basis, hs.HilbertError)
-    if g.size == 0:
-        return []
-    probes = tuple(pauli_ensemble() if ensemble is None else ensemble)
-    if len(probes) == 0:
-        raise hs.HilbertError("ensemble must be nonempty")
-    for i, state in enumerate(probes):
-        if not (isinstance(state, PureState) and state.dim == 2):
-            raise hs.HilbertError(f"ensemble entry {i} must be a signal-qubit PureState, got {state!r}")
-    c = np.empty((g.size, 2))  # the meter amplitudes (gamma, gamma_bar), the entries of G
-    c[:, 0] = _checked_gammas(g)
-    c[:, 1] = np.sqrt(1.0 - c[:, 0] ** 2)
-    g2 = c * c  # (|G[i][i]|^2, |G[i][1-i]|^2), alike in both rows i
-    s = g2[:, 0] + g2[:, 1]
-    r = np.abs(np.array([state.amps for state in probes]) @ basis.vectors.conj())  # sqrt(w)
-    w = r * r
-    # sqrt(w p_m) at columns (p, k), with p_m[p, k] = w[p, k] gamma^2 + w[p, 1 - k] gamma_bar^2
-    x = np.sqrt(g2 @ np.array((w.ravel(), w[:, ::-1].ravel()))) * r.ravel()
-    table = np.empty((len(SWEEP_FIELDS), g.size))  # the SWEEP_FIELDS columns, each written once
-    np.minimum.reduce((x[:, ::2] + x[:, 1::2]) ** 2, axis=1, out=table[1])  # F_M of the worst probe
-    table[2] = s * (w.sum(axis=1) ** 2).min()  # F_QND of the worst probe
-    table[0], table[3] = g, g2[:, 0] / s  # gamma, F_QSP = L
+    g2, gb2 = gamma * gamma, (1.0 - gamma) * (1.0 + gamma)  # |G[i][i]|^2 and |G[i][1-i]|^2
+    s = g2 + gb2
+    table = np.empty((len(SWEEP_FIELDS), gamma.size))  # the SWEEP_FIELDS columns, each written once
+    table[0], table[1], table[2], table[3] = given, g2, s, g2 / s  # gamma, F_M, F_QND, F_QSP = L
     table[4] = table[8] = 2 * table[3] - 1  # K, and c2_shortcut K
-    table[5] = 2 * c[:, 0] * c[:, 1] / s  # K_bar, without the cancellation of 2 P_c - 1
+    table[5] = 2 * gamma * np.sqrt(gb2) / s  # K_bar, without the cancellation of 2 P_c - 1
     table[7] = table[4] ** 2  # c2_raw K^2
     table[6] = table[7] + table[5] ** 2  # englert K^2 + K_bar^2
     # SweepRow(*values) without the frozen __init__, which sets each field through
     # object.__setattr__; filled column by column, each row's dict in SWEEP_FIELDS order
-    rows = [object.__new__(SweepRow) for _ in range(g.size)]
+    rows = [object.__new__(SweepRow) for _ in range(gamma.size)]
     dicts = [row.__dict__ for row in rows]
     for name, column in zip(SWEEP_FIELDS, table.tolist()):
         for d, value in zip(dicts, column):

@@ -74,10 +74,7 @@ def qubit(alpha: complex, beta: complex) -> PureState:
     return PureState.from_amplitudes([alpha, beta])
 
 
-KET0 = qubit(1, 0)
-KET1 = qubit(0, 1)
 PLUS = qubit(1 / math.sqrt(2), 1 / math.sqrt(2))
-MINUS = qubit(1 / math.sqrt(2), -1 / math.sqrt(2))
 
 
 @dataclass(frozen=True, eq=False)

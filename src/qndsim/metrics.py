@@ -128,8 +128,9 @@ def kraus_figures(m: np.ndarray, basis: BasisSpec) -> tuple[np.ndarray, Distingu
     of the maximally mixed input read in ``basis``; its trace is F_QSP = L, and C^2 = K^2.
     K_bar uses the conjugate eigenstates, the columns of ``basis.vectors @ X_BASIS.vectors``.
     MetricsError if ``basis`` is not a qubit BasisSpec, if ``m`` is not of shape (..., 2, 2, 2),
-    is not finite or heralds one of these inputs with a probability below the smallest
-    normal float, where the squared amplitudes lose their relative precision.
+    is not finite, has squared amplitudes beyond the largest float, or heralds one of these
+    inputs with a probability below the smallest normal float, where the squared amplitudes
+    lose their relative precision.
     """
     m = np.asarray(m)
     v = _qubit_basis(basis, MetricsError).vectors
@@ -138,8 +139,11 @@ def kraus_figures(m: np.ndarray, basis: BasisSpec) -> tuple[np.ndarray, Distingu
     if not np.isfinite(m).all():
         raise MetricsError("Kraus stack has a non-finite entry")
     b = np.array((v, v @ X_BASIS.vectors))  # B = [V | V X], the basis and its conjugate, as blocks
-    t = np.abs(np.einsum("bsj,...kst,bti->...bkji", b.conj(), m, b)) ** 2  # |b_j^dag M_k b_i|^2
-    success = t.sum(axis=(-3, -2))  # [..., block, i]: sum_k |M_k b_i|^2
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        t = np.abs(np.einsum("bsj,...kst,bti->...bkji", b.conj(), m, b)) ** 2  # |b_j^dag M_k b_i|^2
+        success = t.sum(axis=(-3, -2))  # [..., block, i]: sum_k |M_k b_i|^2
+    if not np.isfinite(success).all():
+        raise MetricsError("Kraus stack's squared amplitudes overflow the largest float")
     if not (success >= HERALD_MIN).all():
         raise MetricsError(f"Kraus stack heralds a basis or conjugate input with probability {success.min():g}")
     t = t / success[..., None, None, :]

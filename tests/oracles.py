@@ -27,7 +27,10 @@ joint table, L and P_c, and the unconditioned F_M and F_QND of probe states,
 from one matrix product and constant 0/1 matrices. The library scores both
 gates in closed form on their branch tables G, and the tests hold those
 forms to this reader. ``scan_figures_decimal`` evaluates the optical a-scan's
-L and P_c from the formulas of its docstring in 50-digit decimal arithmetic.
+L and P_c, and ``sweep_row_decimal`` a CNOT sweep row, from the formulas of
+their docstrings in 50-digit decimal arithmetic.
+
+``KET0``, ``KET1`` and ``MINUS`` are named qubit states that only the tests use.
 """
 
 from __future__ import annotations
@@ -50,6 +53,8 @@ DEGENERATE_MOMENT = 1e-24  # <O_A^2><O_B^2> below this: an observable is zero, C
 UNITARY_ATOL = 1e-12  # largest entry of |U^dag U - 1| accepted as unitary
 SIG, MET = slice(0, 2), slice(2, 4)  # the gate's signal and meter modes
 HWP = np.array([[1, 1], [1, -1]]) / math.sqrt(2.0)  # at 22.5 degrees, on the meter's (H, V)
+KET0, KET1 = hs.qubit(1, 0), hs.qubit(0, 1)  # named qubits the package itself does not use
+MINUS = hs.qubit(1 / math.sqrt(2), -1 / math.sqrt(2))
 
 
 def correlation_c2(q, eigvals_a, eigvals_b):
@@ -403,3 +408,28 @@ def scan_figures_decimal(a: float, eta: float):
         likelihood = (g[0][0] ** 2 / s[0] + g[1][1] ** 2 / s[1]) / 2
         p_c = sum((g[0][k] + g[1][k]) ** 2 for k in range(2)) / (2 * (s[0] + s[1]))
         return likelihood, p_c, min(s)
+
+
+# ---------------------------------------------- the CNOT sweep in 50-digit decimals
+
+
+def sweep_row_decimal(gamma: float) -> dict:
+    """The ``cnot_qnd.strength_sweep`` row at ``gamma`` in [1/sqrt(2), 1], field by field, as
+    Decimals in 50-digit arithmetic from the exact value of the float gamma, by the formulas
+    of its docstring on the branch table G = [[gamma, gamma_bar], [gamma_bar, gamma]],
+    gamma_bar = sqrt(1 - gamma^2): with s_i = sum_k G[i][k]^2, L = (1/2) sum_i G[i][i]^2 / s_i,
+    P_c = sum_k (G[0][k] + G[1][k])^2 / (2 (s_0 + s_1)), K = 2 L - 1 and K_bar = 2 P_c - 1.
+    The worst case is over the basis eigenstates |i>, which the meter reads as i with weight
+    G[i][i]^2 and the signal keeps with weight s_i: F_M = min_i G[i][i]^2, F_QND = min_i s_i."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        g = decimal.Decimal(gamma)
+        g_bar = (1 - g * g).sqrt()
+        table = ((g, g_bar), (g_bar, g))
+        s = [table[i][0] ** 2 + table[i][1] ** 2 for i in range(2)]
+        likelihood = sum(table[i][i] ** 2 / s[i] for i in range(2)) / 2
+        p_c = sum((table[0][k] + table[1][k]) ** 2 for k in range(2)) / (2 * (s[0] + s[1]))
+        k, k_bar = 2 * likelihood - 1, 2 * p_c - 1
+        return {"gamma": g, "f_m": min(table[i][i] ** 2 for i in range(2)), "f_qnd": min(s),
+                "f_qsp": likelihood, "k": k, "k_bar": k_bar, "englert": k * k + k_bar * k_bar,
+                "c2_raw": k * k, "c2_shortcut": k}

@@ -16,6 +16,7 @@ import pytest
 
 from qndsim import cnot_qnd as cq
 from qndsim import hilbert as hs
+from qndsim import metrics
 from qndsim import photonics as ph
 from qndsim import weakval as wv
 from qndsim.hilbert import PureState
@@ -26,7 +27,6 @@ S = 1 / math.sqrt(2)
 ETA = 1.0 / 3.0
 H = PureState([1, 0])
 V = PureState([0, 1])
-EIGENSTATES = [hs.KET0, hs.KET1]
 
 
 @contextlib.contextmanager
@@ -41,7 +41,7 @@ def criterion(num, name):
 
 def test_01_ideal_projective_qnd():
     with criterion(1, "ideal projective QND at full strength"):
-        row = cq.strength_sweep([1.0], ensemble=EIGENSTATES)[0]
+        row = cq.strength_sweep([1.0])[0]
         assert row.f_m == pytest.approx(1.0, abs=1e-9)
         assert row.f_qnd == pytest.approx(1.0, abs=1e-9)
         assert row.f_qsp == pytest.approx(1.0, abs=1e-9)
@@ -50,18 +50,20 @@ def test_01_ideal_projective_qnd():
 
 def test_02_turned_off_measurement():
     with criterion(2, "turned-off measurement limit"):
-        row = cq.strength_sweep([S], ensemble=EIGENSTATES)[0]
+        row = cq.strength_sweep([S])[0]
         assert row.f_m == pytest.approx(0.5, abs=1e-9)
         assert row.f_qnd == pytest.approx(1.0, abs=1e-9)
         assert row.f_qsp == pytest.approx(0.5, abs=1e-9)
-        sup = cq.strength_sweep([S], ensemble=[hs.PLUS])[0]
-        assert sup.f_m == pytest.approx(1.0, abs=1e-9)
+        # |+> has the populations (1/2, 1/2) at which the turned-off meter reads: F_M = 1 for it
+        m = cq.kraus(cq.MeterPrep(S))
+        p_in, p_m = np.abs(hs.PLUS.amps) ** 2, [np.linalg.norm(mk @ hs.PLUS.amps) ** 2 for mk in m]
+        assert metrics.measurement_fidelity(p_in, p_m) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_03_strength_law():
     with criterion(3, "fidelity strength law over the gamma grid"):
         for g in np.linspace(cq.GAMMA_MIN, 1.0, 50):
-            row = cq.strength_sweep([g], ensemble=EIGENSTATES)[0]
+            row = cq.strength_sweep([g])[0]
             assert row.f_m == pytest.approx(g * g, abs=1e-10)
             assert row.f_qsp == pytest.approx(g * g, abs=1e-10)
             assert row.f_qnd == pytest.approx(1.0, abs=1e-10)
@@ -70,12 +72,12 @@ def test_03_strength_law():
 def test_04_englert_saturation():
     with criterion(4, "distinguishability duality saturation"):
         for g in np.linspace(cq.GAMMA_MIN, 1.0, 50):
-            row = cq.strength_sweep([g], ensemble=EIGENSTATES)[0]
+            row = cq.strength_sweep([g])[0]
             gb = math.sqrt(1 - g * g)
             assert row.k == pytest.approx(2 * g * g - 1, abs=1e-9)
             assert row.k_bar == pytest.approx(2 * g * gb, abs=1e-9)
             assert row.englert == pytest.approx(1.0, abs=1e-9)
-        row = cq.strength_sweep([0.8], ensemble=EIGENSTATES)[0]
+        row = cq.strength_sweep([0.8])[0]
         assert row.k == pytest.approx(0.28, abs=1e-9)
         assert row.k_bar == pytest.approx(0.96, abs=1e-9)
 

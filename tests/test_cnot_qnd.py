@@ -1,19 +1,22 @@
 import dataclasses
+import decimal
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qndsim import cnot_qnd as cq
 from qndsim import hilbert as hs
+from qndsim import metrics
 from qndsim import weakval as wv
 from qndsim.hilbert import BasisSpec, PureState
 
-from oracles import PHASE_ATOL, run
+from oracles import KET0, KET1, PHASE_ATOL, run, sweep_row_decimal
 
 S = 1 / math.sqrt(2)
+SWEEP_ATOL = 4 * 2.0**-52  # four ulps of 1: every sweep column is a figure in [-1, 1]
 
 
 def random_qubit(rng):
@@ -87,8 +90,18 @@ def test_meter_prep_rejects_out_of_range():
 
 @pytest.mark.parametrize("gamma", [True, np.True_, np.array(True), np.array([0.8]), [0.8]])
 def test_meter_prep_rejects_a_bool_or_an_array(gamma):
-    with pytest.raises(TypeError, match="gamma must be a number"):
+    with pytest.raises(TypeError, match="gamma must be a real number"):
         cq.MeterPrep(gamma)
+
+
+@pytest.mark.parametrize("gamma", [True, np.True_, "0.8", 0.8 + 0.5j], ids=["bool", "numpy_bool", "string", "complex"])
+def test_gamma_that_is_not_a_real_number_is_a_type_error_at_both_entry_points(gamma):
+    # neither read as a truth value, parsed from text nor cut to its real part
+    with pytest.raises(TypeError, match="gamma must be a real number"):
+        cq.MeterPrep(gamma)
+    for grid in ([gamma], [0.8, gamma], np.array([gamma])):
+        with pytest.raises(TypeError, match="gamma must be a 1-D sequence of real numbers"):
+            cq.strength_sweep(grid)
 
 
 # ---------------------------------------------------------------------- run
@@ -99,7 +112,7 @@ def test_run_projective():
     np.testing.assert_allclose(out.joint, [0.6, 0, 0, 0.8], atol=1e-12)
     prob, post, p_match = out.conditional[0]
     assert prob == pytest.approx(0.36, abs=1e-12)
-    assert abs(abs(np.vdot(post.amps, hs.KET0.amps)) - 1.0) <= PHASE_ATOL
+    assert abs(abs(np.vdot(post.amps, KET0.amps)) - 1.0) <= PHASE_ATOL
     assert p_match == pytest.approx(1.0, abs=1e-12)
 
 
@@ -111,7 +124,7 @@ def test_run_turned_off():
 
 
 def test_run_intermediate_meter_distribution():
-    out = run(hs.KET0, cq.MeterPrep(0.8))
+    out = run(KET0, cq.MeterPrep(0.8))
     np.testing.assert_allclose(out.p_m, [0.64, 0.36], atol=1e-12)
 
 
@@ -179,7 +192,7 @@ def test_conditional_projects_to_eigenstate_at_full_strength():
             prob, post, p_match = out.conditional[k]
             if post is None:
                 continue
-            target = hs.KET0 if k == 0 else hs.KET1
+            target = KET0 if k == 0 else KET1
             assert abs(abs(np.vdot(post.amps, target.amps)) - 1.0) < 1e-10
             assert p_match == pytest.approx(1.0, abs=1e-10)
 
@@ -198,7 +211,7 @@ def test_characterize_projective():
 
 
 def test_characterize_turned_off():
-    row = cq.strength_sweep([S], ensemble=[hs.KET0, hs.KET1])[0]
+    row = cq.strength_sweep([S])[0]
     assert row.f_m == pytest.approx(0.5, abs=1e-10)
     assert row.f_qnd == pytest.approx(1.0, abs=1e-10)
     assert row.f_qsp == pytest.approx(0.5, abs=1e-10)
@@ -215,31 +228,23 @@ def test_characterize_conjugate_hit_rate():
 
 
 def test_characterize_superposition_fm_is_one_when_off():
-    row = cq.strength_sweep([S], ensemble=[hs.PLUS])[0]
-    assert row.f_m == pytest.approx(1.0, abs=1e-10)
+    # the sweep's F_M is the worst case, 1/2 at an eigenstate; |+> has the populations
+    # (1/2, 1/2) at which the turned-off meter reads, so its own F_M is 1
+    p_m = [np.linalg.norm(m @ hs.PLUS.amps) ** 2 for m in cq.kraus(cq.MeterPrep(S))]
+    assert metrics.measurement_fidelity(np.abs(hs.PLUS.amps) ** 2, p_m) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_sweep_rejects_non_qubit():
-    # a two-qubit probe is named as the wrong input, not failed on deep in numpy
-    ensemble = [hs.KET0, PureState(np.eye(4)[0])]
+    # a two-qubit basis is named as the wrong input, not failed on deep in numpy
     with pytest.raises(hs.HilbertError, match="qubit"):
-        cq.strength_sweep([S, 1.0], ensemble=ensemble)
-
-
-@pytest.mark.parametrize("ensemble, index", [([hs.KET0.amps], 0), ([hs.KET0, ("|0>", hs.KET0)], 1)],
-                         ids=["amplitudes", "labelled_pair"])
-def test_sweep_rejects_an_ensemble_entry_that_is_not_a_state(ensemble, index):
-    with pytest.raises(hs.HilbertError, match=f"ensemble entry {index} must be a signal-qubit PureState"):
-        cq.strength_sweep([0.9], ensemble=ensemble)
+        cq.strength_sweep([S, 1.0], BasisSpec(np.eye(4)))
 
 
 def test_strength_law_on_grid():
     grid = np.linspace(cq.GAMMA_MIN, 1.0, 50)
     random_basis = BasisSpec(random_unitary2(np.random.default_rng(17)))
     for basis in (hs.Z_BASIS, hs.X_BASIS, hs.Y_BASIS, random_basis):
-        # the Pauli ensemble carried into ``basis``, so it holds that basis's eigenstates
-        ensemble = [PureState(basis.vectors @ s.amps) for s in cq.pauli_ensemble()]
-        rows = cq.strength_sweep(grid, basis, ensemble)
+        rows = cq.strength_sweep(grid, basis)
         for g, row in zip(grid, rows):
             assert row.f_m == pytest.approx(g * g, abs=1e-10)
             assert row.f_qsp == pytest.approx(g * g, abs=1e-10)
@@ -280,46 +285,13 @@ def test_sweep_json_roundtrip():
 def test_sweep_rows_match_one_point_sweeps():
     rng = np.random.default_rng(23)
     basis = BasisSpec(random_unitary2(rng))
-    ensemble = cq.pauli_ensemble() + [random_qubit(rng) for _ in range(5)]
     grid = np.linspace(cq.GAMMA_MIN, 1.0, 17)
-    rows = cq.strength_sweep(grid, basis, ensemble)
+    rows = cq.strength_sweep(grid, basis)
     assert len(rows) == grid.size
     for g, row in zip(grid, rows):
-        single = cq.strength_sweep([g], basis, ensemble)[0]
+        single = cq.strength_sweep([g], basis)[0]
         for field in cq.SWEEP_FIELDS:
             assert getattr(row, field) == pytest.approx(getattr(single, field), abs=1e-12)
-
-
-def test_sweep_ignores_probe_phase_and_order():
-    # a probe's global phase is not physical, and the worst case over a list is that over a set
-    rng = np.random.default_rng(31)
-    for _ in range(200):
-        basis = BasisSpec(random_unitary2(rng))
-        ensemble = cq.pauli_ensemble() + [random_qubit(rng) for _ in range(4)]
-        phases = np.exp(2j * np.pi * rng.uniform(size=len(ensemble)))
-        shuffled = [PureState(ensemble[i].amps * phases[i]) for i in rng.permutation(len(ensemble))]
-        grid = rng.uniform(cq.GAMMA_MIN, 1.0, 20)
-        rows, others = (cq.strength_sweep(grid, basis, probes) for probes in (ensemble, shuffled))
-        np.testing.assert_allclose([[getattr(r, f) for f in cq.SWEEP_FIELDS] for r in others],
-                                   [[getattr(r, f) for f in cq.SWEEP_FIELDS] for r in rows], rtol=0, atol=1e-14)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.floats(-math.pi, math.pi))
-def test_sweep_reads_the_probes_through_their_populations_only(seed, phi):
-    # a relative phase in the measured basis, V diag(1, e^{i phi}) V^dag, keeps each probe's
-    # populations |v_i^dag a|^2 and so every row. The turned probes carry the rounding of the
-    # 2x2 products that turn them, which moves F_M and F_QND by up to 11 ulps of 1 over
-    # 3 000 random draws; the bound is 4e-15, 18 ulps
-    rng = np.random.default_rng(seed)
-    v = random_unitary2(rng)
-    basis = BasisSpec(v)
-    ensemble = cq.pauli_ensemble() + [random_qubit(rng) for _ in range(3)]
-    phase = v @ np.diag([1.0, np.exp(1j * phi)]) @ v.conj().T
-    turned = [PureState.from_amplitudes(phase @ s.amps) for s in ensemble]
-    grid = np.concatenate(([cq.GAMMA_MIN, 1.0], rng.uniform(cq.GAMMA_MIN, 1.0, 8)))
-    np.testing.assert_allclose(_sweep_table(grid, basis, turned), _sweep_table(grid, basis, ensemble),
-                               rtol=0, atol=4e-15)
 
 
 @pytest.mark.parametrize("basis", [np.eye(2), [[1, 0], [0, 1]], None], ids=["array", "list", "none"])
@@ -332,20 +304,60 @@ def test_kraus_and_sweep_name_a_basis_that_is_not_a_basis_spec(basis):
             cq.strength_sweep(grid, basis)
 
 
-def _sweep_table(grid, basis, ensemble=None):
-    return np.array([[getattr(r, f) for f in cq.SWEEP_FIELDS] for r in cq.strength_sweep(grid, basis, ensemble)])
+def _sweep_table(grid, basis):
+    return np.array([[getattr(r, f) for f in cq.SWEEP_FIELDS] for r in cq.strength_sweep(grid, basis)])
 
 
-def test_sweep_rows_are_bit_identical_on_an_equal_basis_or_ensemble():
+def test_sweep_rows_are_bit_identical_in_every_basis():
+    # G is the same in every basis, and so is every column
     rng = np.random.default_rng(43)
     grid = rng.uniform(cq.GAMMA_MIN, 1.0, 15)
-    for basis in (hs.Z_BASIS, hs.X_BASIS, hs.Y_BASIS, BasisSpec(random_unitary2(rng))):
-        ensemble = cq.pauli_ensemble() + [random_qubit(rng) for _ in range(3)]
-        want = _sweep_table(grid, basis, ensemble)
-        twin = BasisSpec(basis.vectors.copy())
-        fresh = [PureState(s.amps.copy()) for s in ensemble]
-        for b, e in ((twin, ensemble), (basis, fresh), (twin, fresh)):
-            assert _sweep_table(grid, b, e).tobytes() == want.tobytes()
+    want = _sweep_table(grid, hs.Z_BASIS)
+    for basis in (BasisSpec(np.eye(2)), hs.X_BASIS, hs.Y_BASIS, BasisSpec(random_unitary2(rng))):
+        assert _sweep_table(grid, basis).tobytes() == want.tobytes()
+
+
+def test_sweep_worst_case_is_at_a_basis_eigenstate_in_every_basis():
+    rng = np.random.default_rng(53)
+    grid = np.linspace(cq.GAMMA_MIN, 1.0, 50)
+    for _ in range(50):
+        rows = cq.strength_sweep(grid, BasisSpec(random_unitary2(rng)))
+        np.testing.assert_allclose([r.f_m for r in rows], grid**2, rtol=0, atol=1e-14)
+        np.testing.assert_allclose([r.f_qnd for r in rows], 1.0, rtol=0, atol=1e-14)
+
+
+def test_no_input_scores_below_the_sweeps_worst_case():
+    # 2 000 random pure inputs a_i, each scored off cnot_qnd.kraus in a random complex basis
+    rng = np.random.default_rng(61)
+    for _ in range(20):
+        basis = BasisSpec(random_unitary2(rng))
+        v = basis.vectors
+        a = rng.normal(size=(100, 2)) + 1j * rng.normal(size=(100, 2))
+        a /= np.linalg.norm(a, axis=1, keepdims=True)
+        p_in = np.abs(a @ v.conj()) ** 2  # [i, j]
+        grid = np.concatenate(([cq.GAMMA_MIN, 1.0], rng.uniform(cq.GAMMA_MIN, 1.0, 8)))
+        for g, row in zip(grid, cq.strength_sweep(grid, basis)):
+            branches = np.einsum("kst,it->iks", cq.kraus(cq.MeterPrep(g), basis), a)  # M_k a_i
+            p_m = np.linalg.norm(branches, axis=2) ** 2  # [i, k]
+            p_out = (np.abs(np.einsum("sj,iks->ikj", v.conj(), branches)) ** 2).sum(axis=1)  # [i, j]
+            assert (np.sqrt(p_in * p_m).sum(axis=1) ** 2).min() >= row.f_m - 1e-12
+            assert (np.sqrt(p_in * p_out).sum(axis=1) ** 2).min() >= row.f_qnd - 1e-12
+
+
+_SPAN = 1.0 - cq.GAMMA_MIN
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(0.0, 16.0).map(lambda d: 1.0 - _SPAN * 10**-d),
+                 st.floats(0.0, 16.0).map(lambda d: cq.GAMMA_MIN + _SPAN * 10**-d)))
+@example(cq.GAMMA_MIN)
+@example(1.0)
+def test_sweep_matches_a_50_digit_reference(gamma):
+    # gamma log-uniform towards both ends: K loses relative precision to cancellation near
+    # 1/sqrt(2) and K_bar near 1, but every column stays within a few ulps of 1 absolute
+    row, = cq.strength_sweep([gamma])
+    for name, want in sweep_row_decimal(gamma).items():
+        assert abs(decimal.Decimal(getattr(row, name)) - want) <= SWEEP_ATOL, name
 
 
 def test_sweep_rows_are_frozen_sweep_rows():
@@ -385,16 +397,6 @@ def test_sweep_rejects_bad_gamma_naming_it():
         cq.strength_sweep([0.8, float("nan")])
     with pytest.raises(cq.StrengthError):
         cq.MeterPrep(float("nan"))
-
-
-def test_pauli_ensemble_is_a_fresh_list_each_call():
-    first = cq.pauli_ensemble()
-    first.append(hs.KET0)
-    second = cq.pauli_ensemble()
-    expected = [[1, 0], [0, 1], [S, S], [S, -S], [S, 1j * S], [S, -1j * S]]  # |0>, |1>, |+>, |->, |+i>, |-i>
-    assert len(second) == 6
-    np.testing.assert_allclose([state.amps for state in second], expected, rtol=0, atol=1e-15)
-    assert second is not cq.pauli_ensemble()
 
 
 def test_sweep_of_empty_grid_is_empty():

@@ -14,7 +14,7 @@ from qndsim.cnot_qnd import MeterPrep
 from qndsim.hilbert import BasisSpec, HilbertError, ProbDist, PureState
 from qndsim.metrics import classical_fidelity
 
-from oracles import PHASE_ATOL, check_unitary, run
+from oracles import KET0, KET1, MINUS, PHASE_ATOL, check_unitary, run
 
 S = 1 / math.sqrt(2)
 
@@ -81,11 +81,11 @@ def test_array_holding_values_compare_and_hash_by_identity():
     k = np.array([0.5, -0.5])
     pairs = [
         (BasisSpec(np.eye(2)), BasisSpec(np.eye(2))),
-        (hs.KET0, hs.qubit(1, 0)),
+        (KET0, hs.qubit(1, 0)),
         (ProbDist([0.5, 0.5]), ProbDist([0.5, 0.5])),
         (metrics.DistinguishabilityPair(0.5, 0.5), metrics.DistinguishabilityPair(0.5, 0.5)),
         (metrics.DistinguishabilityPair(k, k), metrics.DistinguishabilityPair(k, k)),
-        (ph.run_gate(hs.KET0, ph.meter_prep(1 / 3)), ph.run_gate(hs.KET0, ph.meter_prep(1 / 3))),
+        (ph.run_gate(KET0, ph.meter_prep(1 / 3)), ph.run_gate(KET0, ph.meter_prep(1 / 3))),
     ]
     for a, b in pairs:
         assert a == a and a != b and len({a, b, a}) == 2
@@ -122,11 +122,10 @@ def test_probdist_rejects_non_finite(weights):
     lambda: ProbDist.from_weights([]),
     lambda: ProbDist(np.empty((0,))),
     lambda: classical_fidelity([], []),
-    lambda: cq.strength_sweep([S, 1.0], ensemble=[]),
-], ids=["probdist", "from_weights", "probdist_array", "classical_fidelity", "strength_sweep"])
+], ids=["probdist", "from_weights", "probdist_array", "classical_fidelity"])
 def test_empty_distribution_is_a_hilbert_error(build):
     # typed, not numpy's "zero-size array to reduction operation minimum"
-    with pytest.raises(HilbertError, match="sum|nonempty"):
+    with pytest.raises(HilbertError, match="sum"):
         build()
 
 
@@ -185,7 +184,7 @@ def test_from_amplitudes_scaling_is_exact():
 
 
 def test_basis_states_are_the_named_qubits():
-    named = [(hs.Z_BASIS, (hs.KET0, hs.KET1)), (hs.X_BASIS, (hs.PLUS, hs.MINUS)),
+    named = [(hs.Z_BASIS, (KET0, KET1)), (hs.X_BASIS, (hs.PLUS, MINUS)),
              (hs.Y_BASIS, (hs.qubit(S, 1j * S), hs.qubit(S, -1j * S)))]
     for basis, kets in named:
         for k, ket in enumerate(kets):
@@ -215,14 +214,14 @@ def test_probdist_from_weights_scales_huge_weights():
 
 def test_tensor_basis_states():
     # signal |0> with the meter prepared in |0>: the product basis state |00>
-    out = run(hs.KET0, MeterPrep(1.0))
+    out = run(KET0, MeterPrep(1.0))
     np.testing.assert_allclose(out.joint, np.eye(4)[0], atol=1e-15)
 
 
 def test_tensor_linearity():
     # signal |0> leaves the meter as prepared, and the gate is linear in the signal
     g, gb = 0.8, 0.6
-    zero, one = run(hs.KET0, MeterPrep(g)).joint, run(hs.KET1, MeterPrep(g)).joint
+    zero, one = run(KET0, MeterPrep(g)).joint, run(KET1, MeterPrep(g)).joint
     np.testing.assert_allclose(zero, [g, gb, 0, 0], atol=1e-15)
     out = run(hs.qubit(0.6, 0.8j), MeterPrep(g))
     np.testing.assert_allclose(out.joint, 0.6 * zero + 0.8j * one, atol=1e-12)
@@ -262,7 +261,7 @@ def test_born_qubit_z():
 
 
 def test_born_conjugate_uniform():
-    out = run(hs.KET0, MeterPrep(1.0), hs.X_BASIS)
+    out = run(KET0, MeterPrep(1.0), hs.X_BASIS)
     np.testing.assert_allclose(out.p_m, [0.5, 0.5], atol=1e-12)
 
 
@@ -283,7 +282,7 @@ def test_born_dimension_mismatch():
 def test_collapse_entangled_meter():
     prob, post, p_match = run(hs.qubit(0.6, 0.8), MeterPrep(1.0)).conditional[1]
     assert prob == pytest.approx(0.64, abs=1e-12)
-    assert abs(abs(np.vdot(post.amps, hs.KET1.amps)) - 1.0) <= PHASE_ATOL
+    assert abs(abs(np.vdot(post.amps, KET1.amps)) - 1.0) <= PHASE_ATOL
     assert p_match == pytest.approx(1.0, abs=1e-12)
 
 
@@ -316,7 +315,7 @@ def test_collapse_gate2_state_matches_matrix_oracle():
 
 
 def test_collapse_zero_probability_branch():
-    assert run(hs.KET0, MeterPrep(1.0)).conditional[1] == (0.0, None, 0.0)
+    assert run(KET0, MeterPrep(1.0)).conditional[1] == (0.0, None, 0.0)
 
 
 def test_cnot_entangles():

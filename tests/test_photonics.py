@@ -20,9 +20,9 @@ from qndsim.photonics import (
     run_gate,
 )
 
-from oracles import (MET, SIG, FockState, LinearCircuit, ModeLayout, analytic_success, born_read, bs_matrix,
-                     build_qnd_circuit, class_weights, gate_parts, lift_two_photon, mode_unitary, pair_map,
-                     scan_figures_decimal, two_photon_input)
+from oracles import (KET0, KET1, MET, SIG, FockState, LinearCircuit, ModeLayout, analytic_success, born_read,
+                     bs_matrix, build_qnd_circuit, class_weights, gate_parts, lift_two_photon, mode_unitary,
+                     pair_map, scan_figures_decimal, two_photon_input)
 
 ETA = 1.0 / 3.0
 H = PureState([1, 0])
@@ -343,7 +343,7 @@ def test_run_gate_failure_breakdown_vertical():
 def test_run_gate_keeps_a_rare_but_possible_herald():
     # an H signal is heralded only when reflected on the eta-BS: with probability eta = 1e-6,
     # far above ZERO_BRANCH, and then the meter's V leaves the HWP as (H - V)/sqrt(2)
-    res = run_gate(hs.KET0, hs.KET1, 1e-6)
+    res = run_gate(KET0, KET1, 1e-6)
     assert res.success_prob == 1e-06
     assert res.conditional_joint is not None
     np.testing.assert_allclose(res.conditional_joint, [[math.sqrt(0.5), -math.sqrt(0.5)], [0.0, 0.0]],

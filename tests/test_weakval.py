@@ -25,6 +25,8 @@ from qndsim.weakval import (
     weak_value,
 )
 
+from oracles import KET0, KET1, MINUS
+
 S = 1 / math.sqrt(2)
 
 
@@ -43,7 +45,7 @@ def test_weak_value_no_postselection_is_expectation():
 
 def test_weak_value_logical_postselection_is_trivial():
     psi = hs.qubit(0.6, 0.8)
-    for m, target in enumerate((hs.KET0, hs.KET1)):
+    for m, target in enumerate((KET0, KET1)):
         assert weak_value(N_HAT, psi, target) == pytest.approx(m, abs=1e-12)
         assert strong_value_postselected(N_HAT, psi, target) == pytest.approx(m, abs=1e-12)
 
@@ -56,15 +58,15 @@ def test_weak_value_anomalous():
 
 def test_weak_value_orthogonal_rejected():
     with pytest.raises(WeakValueError):
-        weak_value(N_HAT, hs.PLUS, hs.MINUS)
+        weak_value(N_HAT, hs.PLUS, MINUS)
 
 
 @pytest.mark.parametrize("x", [np.array([[0, 1], [0, 0]]), np.array([[0, 0], [1, 0]])], ids=["sigma_plus", "sigma_minus"])
 def test_strong_value_rejects_a_non_hermitian_observable(x):
     # eigh would read only the lower triangle and return 0.0 and 1.0 here
-    weak_value(x, hs.KET0, hs.PLUS)  # a weak value is defined for any operator
+    weak_value(x, KET0, hs.PLUS)  # a weak value is defined for any operator
     with pytest.raises(WeakValueError, match="not Hermitian"):
-        strong_value_postselected(x, hs.KET0, hs.PLUS)
+        strong_value_postselected(x, KET0, hs.PLUS)
 
 
 @pytest.mark.parametrize("f", [weak_value, strong_value_postselected])
@@ -77,18 +79,18 @@ def test_weak_values_reject_a_bad_observable(f, x, match):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(WeakValueError, match=match):
-            f(x, hs.KET0, hs.PLUS)
+            f(x, KET0, hs.PLUS)
 
 
 @pytest.mark.parametrize("f", [weak_value, strong_value_postselected])
 def test_weak_values_reject_states_of_different_dimensions(f):
     with pytest.raises(WeakValueError, match="dimensions 2 and 3"):
-        f(N_HAT, hs.KET0, PureState.from_amplitudes([1.0, 0.0, 0.0]))
+        f(N_HAT, KET0, PureState.from_amplitudes([1.0, 0.0, 0.0]))
 
 
 @pytest.mark.parametrize("f, x, psi, phi, expected", [
     (weak_value, [[1.5e308, -1.5e308], [1.5e308, -1.5e308]], hs.qubit(0.6, 0.8), hs.PLUS, 1.5e308 / 7 * -2),
-    (strong_value_postselected, [[0, 1.7e308], [-1.7e308, 0]], hs.KET0, hs.PLUS, "not Hermitian"),
+    (strong_value_postselected, [[0, 1.7e308], [-1.7e308, 0]], KET0, hs.PLUS, "not Hermitian"),
     (weak_value, np.full((2, 2), 1e308), hs.PLUS, hs.PLUS, "out of float range"),  # the value is 2e308
 ], ids=["finite_value", "anti_hermitian", "value_overflows"])
 def test_weak_values_of_huge_finite_observables(f, x, psi, phi, expected):
@@ -108,10 +110,10 @@ def test_hermitian_tolerance_does_not_depend_on_the_observable_scale(scale):
     for skew, hermitian in ((0.5 * wv.HERMITIAN_ATOL, True), (2 * wv.HERMITIAN_ATOL, False)):
         x = np.array([[0.0, scale], [scale + skew, 0.0]])
         if hermitian:
-            assert strong_value_postselected(x, hs.KET0, hs.PLUS) == pytest.approx(scale, rel=1e-12)
+            assert strong_value_postselected(x, KET0, hs.PLUS) == pytest.approx(scale, rel=1e-12)
         else:
             with pytest.raises(WeakValueError, match="not Hermitian"):
-                strong_value_postselected(x, hs.KET0, hs.PLUS)
+                strong_value_postselected(x, KET0, hs.PLUS)
 
 
 def test_scaled_weak_values_equal_the_unscaled_formulas():
@@ -149,7 +151,7 @@ def test_strong_value_conjugate_postselection():
 
 
 def test_strong_value_eigenstate_input():
-    assert strong_value_postselected(N_HAT, hs.KET1, hs.PLUS) == pytest.approx(1.0)
+    assert strong_value_postselected(N_HAT, KET1, hs.PLUS) == pytest.approx(1.0)
 
 
 def test_strong_value_stays_in_range():
@@ -168,12 +170,12 @@ def test_strong_value_sum_rule():
     for _ in range(50):
         psi = random_qubit(rng)
         total = 0.0
-        for phi in (hs.PLUS, hs.MINUS):
+        for phi in (hs.PLUS, MINUS):
             w = np.abs(np.vdot(phi.amps, psi.amps)) ** 2
             # P(phi|psi) marginalized over the intermediate projective outcomes
             p_phi = sum(
                 abs(np.vdot(phi.amps, e)) ** 2 * abs(np.vdot(e, psi.amps)) ** 2
-                for e in (hs.KET0.amps, hs.KET1.amps)
+                for e in (KET0.amps, KET1.amps)
             )
             total += strong_value_postselected(N_HAT, psi, phi) * p_phi
         assert total == pytest.approx(abs(psi.amps[1]) ** 2, abs=1e-10)
@@ -184,7 +186,7 @@ def test_weak_value_sum_rule():
     for _ in range(100):
         psi = random_qubit(rng, real=True)
         total = 0.0
-        for phi in (hs.PLUS, hs.MINUS):
+        for phi in (hs.PLUS, MINUS):
             p_phi = abs(np.vdot(phi.amps, psi.amps)) ** 2
             if p_phi < 1e-10:
                 continue
@@ -217,8 +219,8 @@ def test_povm_intermediate_matches_gate_statistics():
     # E_1 = diag(1-g^2, g^2), so the meter reads 1 on |0> with probability 0.36
     e = povm(0.8)
     np.testing.assert_allclose(e[1], np.diag([0.36, 0.64]), atol=1e-12)
-    expected = (hs.KET0.amps.conj() @ closed_form_effect(1, 0.8) @ hs.KET0.amps).real
-    assert (hs.KET0.amps.conj() @ e[1] @ hs.KET0.amps).real == pytest.approx(expected, abs=1e-12)
+    expected = (KET0.amps.conj() @ closed_form_effect(1, 0.8) @ KET0.amps).real
+    assert (KET0.amps.conj() @ e[1] @ KET0.amps).real == pytest.approx(expected, abs=1e-12)
 
 
 def test_povm_rejects_gamma():
@@ -265,12 +267,12 @@ def test_gamma_min_gives_the_weak_values():
     rng = np.random.default_rng(47)
     for _ in range(200):
         psi = random_qubit(rng, real=True)
-        if min(abs(np.vdot(psi.amps, hs.PLUS.amps)), abs(np.vdot(psi.amps, hs.MINUS.amps))) ** 2 < 0.05:
+        if min(abs(np.vdot(psi.amps, hs.PLUS.amps)), abs(np.vdot(psi.amps, MINUS.amps))) ** 2 < 0.05:
             continue
         alpha, beta = psi.amps.real
         plus, minus, _ = postselected_mean_n(alpha, beta, cq.GAMMA_MIN)
         assert abs(plus - weak_value(N_HAT, psi, hs.PLUS)) <= 1e-12
-        assert abs(minus - weak_value(N_HAT, psi, hs.MINUS)) <= 1e-12
+        assert abs(minus - weak_value(N_HAT, psi, MINUS)) <= 1e-12
     assert postselected_mean_n(0.8, -0.6, cq.GAMMA_MIN)[0] == pytest.approx(-3.0, abs=1e-12)
 
 
